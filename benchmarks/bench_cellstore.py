@@ -1,28 +1,28 @@
-"""Benchmark — SQLite cell store vs the file-per-cell JSON cache.
+"""Benchmark — the SQLite cell store at production grid sizes.
 
-PR 6 moves the grid engine's persistence (cached cells, shard completion
-journals, the run ledger) into one WAL-mode SQLite database
-(:class:`repro.experiments.SQLiteCellStore`).  This benchmark measures the
-four operations that dominate production-scale grids (1e4-1e5 entries) on
-*both* backends over identical synthetic cells:
+The grid engine's persistence (cached cells, shard completion journals, the
+run ledger) lives in WAL-mode SQLite databases
+(:class:`repro.experiments.SQLiteCellStore`).  This benchmark times the
+operations that dominate production-scale grids (1e4-1e5 entries) over
+synthetic cells:
 
 * **put** — persisting freshly computed cells;
-* **get** — reading cells back (each hit also refreshes LRU state:
-  ``os.utime`` on JSON, an indexed ``UPDATE`` on SQLite);
+* **get** — reading cells back (each hit also refreshes the LRU clock with
+  an indexed ``UPDATE``);
+* **journal append** — a shard journaling its completed cells;
+* **resume-scan** — recovering a shard's completed-cell set (one
+  ``shard_journal`` query);
 * **evict** — opening the filled store with ``max_entries = n/2`` and
-  putting once, which forces half the entries out (a full directory scan +
-  per-file unlink on JSON; one indexed ``DELETE`` on SQLite);
-* **resume-scan** — recovering a shard's completed-cell set (replaying the
-  JSONL journal line by line vs one ``shard_journal`` query).
+  putting once, which forces half the entries out (one indexed ``DELETE``).
 
 Run directly (this file is a script, not a pytest-benchmark module)::
 
     PYTHONPATH=src python benchmarks/bench_cellstore.py --quick --out out.json
 
 ``--quick`` uses 1e4 entries (the CI size), the default full run 1e5.  The
-acceptance gate — SQLite at least 5x faster than JSON on the combined
-resume-scan + eviction time — is enforced at both sizes; exits non-zero
-when it fails.
+timings are recorded output, not a gate; the script exits non-zero only when
+the store loses entries (a get misses, the resume scan is incomplete, or the
+eviction bound does not hold).
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments import GridCache, GridCell, SQLiteCellStore
-from repro.experiments.sharding import _journal_path, _load_journal, shard_artifact_path
-
-#: Combined resume-scan + eviction speedup the SQLite backend must reach.
-SPEEDUP_GATE = 5.0
+from repro.experiments import GridCell, SQLiteCellStore
+from repro.experiments.sharding import workspace_store
 
 
 def make_cells(n: int) -> list[GridCell]:
@@ -61,24 +58,17 @@ def timed(fn) -> "tuple[object, float]":
     return result, time.perf_counter() - start
 
 
-def bench_backend(backend: str, cells: list[GridCell], root: Path) -> dict:
-    """Time put / get / evict / resume-scan for one backend."""
+def bench_store(cells: list[GridCell], root: Path) -> dict:
+    """Time put / get / journal append / resume-scan / evict."""
     n = len(cells)
-    cache_dir = root / backend / "cache"
-    shard_dir = root / backend / "shards"
-    shard_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = root / "cache"
 
-    def open_store(max_entries=None):
-        if backend == "sqlite":
-            return SQLiteCellStore.for_directory(cache_dir, max_entries=max_entries)
-        return GridCache(cache_dir, max_entries=max_entries)
-
-    store = open_store()
-    _, put_s = timed(
-        lambda: [store.put(cell, rows_for(i), 0.0) for i, cell in enumerate(cells)]
-    )
-    hits, get_s = timed(lambda: sum(store.get(cell) is not None for cell in cells))
-    assert hits == n, f"{backend}: {hits}/{n} gets hit"
+    with SQLiteCellStore.for_directory(cache_dir) as store:
+        _, put_s = timed(
+            lambda: [store.put(cell, rows_for(i), 0.0) for i, cell in enumerate(cells)]
+        )
+        hits, get_s = timed(lambda: sum(store.get(cell) is not None for cell in cells))
+    assert hits == n, f"{hits}/{n} gets hit"
 
     # resume-scan: the state a re-invoked shard reads before computing.
     fingerprint = "f" * 64
@@ -86,40 +76,21 @@ def bench_backend(backend: str, cells: list[GridCell], root: Path) -> dict:
         {"config_hash": cell.config_hash, "rows": rows_for(i), "elapsed": 0.0}
         for i, cell in enumerate(cells)
     ]
-    if backend == "sqlite":
-        journal_store = SQLiteCellStore(shard_dir / "shards.sqlite")
+    with workspace_store(root / "shards") as journal:
         _, append_s = timed(
-            lambda: [journal_store.journal_append(fingerprint, 0, e) for e in entries]
+            lambda: [journal.journal_append(fingerprint, 0, e) for e in entries]
         )
-        recovered, scan_s = timed(lambda: journal_store.journal_entries(fingerprint))
-        journal_store.close()
-    else:
-        journal = _journal_path(shard_artifact_path(shard_dir, 1, 0))
-
-        def append_all():
-            with open(journal, "a", encoding="utf-8") as handle:
-                for entry in entries:
-                    handle.write(
-                        json.dumps({"plan_hash": fingerprint, "entry": entry}) + "\n"
-                    )
-
-        _, append_s = timed(append_all)
-        recovered, scan_s = timed(lambda: _load_journal(journal, fingerprint))
-    assert len(recovered) == n, f"{backend}: resume-scan recovered {len(recovered)}/{n}"
+        recovered, scan_s = timed(lambda: journal.journal_entries(fingerprint))
+    assert len(recovered) == n, f"resume-scan recovered {len(recovered)}/{n}"
 
     # eviction: reopen bounded at n/2 and put once -> half the store must go
-    if backend == "sqlite":
-        store.close()
-    bounded = open_store(max_entries=n // 2)
-    extra = GridCell(figure="bench", runner="bench_cellstore", params={"i": n})
-    _, evict_s = timed(lambda: bounded.put(extra, rows_for(n), 0.0))
-    remaining = len(bounded)
-    assert remaining <= n // 2, f"{backend}: {remaining} entries survived the bound"
-    if backend == "sqlite":
-        bounded.close()
+    with SQLiteCellStore.for_directory(cache_dir, max_entries=n // 2) as bounded:
+        extra = GridCell(figure="bench", runner="bench_cellstore", params={"i": n})
+        _, evict_s = timed(lambda: bounded.put(extra, rows_for(n), 0.0))
+        remaining = len(bounded)
+    assert remaining <= n // 2, f"{remaining} entries survived the bound"
 
     return {
-        "backend": backend,
         "entries": n,
         "put_seconds": put_s,
         "get_seconds": get_s,
@@ -143,47 +114,15 @@ def main(argv=None) -> int:
 
     root = Path(tempfile.mkdtemp(prefix="bench-cellstore-"))
     try:
-        cells = make_cells(n)
-        results = {
-            backend: bench_backend(backend, cells, root)
-            for backend in ("json", "sqlite")
-        }
+        results = bench_store(make_cells(n), root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    combined_json = (
-        results["json"]["resume_scan_seconds"] + results["json"]["evict_seconds"]
-    )
-    combined_sqlite = (
-        results["sqlite"]["resume_scan_seconds"] + results["sqlite"]["evict_seconds"]
-    )
-    speedup = combined_json / combined_sqlite if combined_sqlite > 0 else float("inf")
-    artifact = {
-        "benchmark": "cellstore",
-        "entries": n,
-        "quick": args.quick,
-        "backends": results,
-        "resume_plus_evict_speedup": speedup,
-        "speedup_gate": SPEEDUP_GATE,
-    }
-
+    artifact = {"benchmark": "cellstore", "quick": args.quick, "sqlite": results}
     print(json.dumps(artifact, indent=1))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(artifact, indent=1), encoding="utf-8")
-
-    if speedup < SPEEDUP_GATE:
-        print(
-            f"GATE FAILED: resume-scan+eviction speedup {speedup:.1f}x "
-            f"< {SPEEDUP_GATE:.0f}x at {n} entries",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"gate passed: sqlite {speedup:.1f}x faster on resume-scan+eviction "
-        f"at {n} entries (gate {SPEEDUP_GATE:.0f}x)",
-        file=sys.stderr,
-    )
     return 0
 
 

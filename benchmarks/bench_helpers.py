@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates the rows behind one figure of the paper at a
-scaled-down size (see DESIGN.md, "Per-experiment index").  The functions are
-expensive end-to-end pipelines, so each benchmark runs exactly one round and
-the resulting rows are printed so the series can be compared against the
-paper (qualitative shape, not absolute values).
+scaled-down size; each ``bench_figNN_*.py`` file is named after its figure.
+The functions are expensive end-to-end pipelines, so each benchmark runs
+exactly one round and the resulting rows are printed so the series can be
+compared against the paper (qualitative shape, not absolute values).
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ def grid_kwargs() -> dict:
 
     ``REPRO_BENCH_SHARDS`` (> 1) routes each figure through the sharded
     executor instead — one subprocess shard worker per shard, each running
-    ``REPRO_BENCH_WORKERS`` pool workers — with partial artifacts under
+    ``REPRO_BENCH_WORKERS`` pool workers — with the shard journal under
     ``REPRO_BENCH_SHARD_DIR`` (a persistent directory makes interrupted
     benchmark sweeps resumable; unset uses a temporary directory).  Rows are
     byte-identical to the in-process paths.
-
-    ``REPRO_BENCH_CACHE_BACKEND`` (``json``, the default, or ``sqlite``)
-    selects the cell-store layout for both the cache and the shard
-    journal/artifact layer.
 
     ``REPRO_BENCH_REMOTE_WORKERS`` (> 0) routes each figure through the
     lease-based remote executor instead — a local HTTP coordinator plus
@@ -63,11 +59,8 @@ def grid_kwargs() -> dict:
     if workers > 1:
         kwargs["workers"] = workers
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    backend = os.environ.get("REPRO_BENCH_CACHE_BACKEND", "json")
     if cache_dir:
-        from repro.experiments.grid import CellStore
-
-        kwargs["cache"] = CellStore.from_options(cache_dir, cache_backend=backend)
+        kwargs["cache"] = cache_dir
     shards = int(os.environ.get("REPRO_BENCH_SHARDS", "0"))
     remote_workers = int(os.environ.get("REPRO_BENCH_REMOTE_WORKERS", "0"))
     if shards > 1:
@@ -78,7 +71,6 @@ def grid_kwargs() -> dict:
             workers=max(workers, 1),
             directory=os.environ.get("REPRO_BENCH_SHARD_DIR"),
             cache_dir=cache_dir or None,
-            cache_backend=backend,
         )
     elif remote_workers > 0:
         from repro.experiments.remote import RemoteExecutor

@@ -49,7 +49,7 @@ ORACLE_REQUIRED_KERNELS = ("_attack_dense", "_support_counts_dense")
 
 #: Classes that may only be constructed behind ``CellStore.from_options``
 #: (outside their defining module and tests) — REPRO401.
-STORE_CLASSES = ("GridCache", "SQLiteCellStore")
+STORE_CLASSES = ("SQLiteCellStore",)
 
 #: Call targets whose arguments act as seeds (REPRO103 time-based seeding).
 _SEEDING_CALLEES = (
@@ -474,12 +474,11 @@ def check_missing_fidelity_param(ctx: FileContext) -> Iterator[Violation]:
 def check_direct_store_construction(ctx: FileContext) -> Iterator[Violation]:
     """A cell store is constructed outside ``CellStore.from_options``.
 
-    ``CellStore.from_options`` is the one place the ``(directory, bounds,
-    cache_backend)`` wiring lives; direct ``GridCache(...)`` /
-    ``SQLiteCellStore(...)`` construction elsewhere lets parent and worker
-    caches silently diverge.  The defining modules and tests are exempt;
-    blessed factory classmethods (``from_options``, ``for_directory``) are
-    not flagged.
+    ``CellStore.from_options`` is the one place the ``(directory, bounds)``
+    wiring lives; direct ``SQLiteCellStore(...)`` construction elsewhere
+    lets parent and worker caches silently diverge.  The defining module and
+    tests are exempt; blessed factory classmethods (``from_options``,
+    ``for_directory``) are not flagged.
     """
     if ctx.is_tests:
         return
@@ -495,7 +494,7 @@ def check_direct_store_construction(ctx: FileContext) -> Iterator[Violation]:
                 this,
                 f"direct {leaf}(...) construction bypasses "
                 "CellStore.from_options; build stores through the seam so "
-                "backend/bounds wiring cannot diverge",
+                "the bounds wiring cannot diverge",
             )
 
 

@@ -23,7 +23,7 @@ from ..metrics.accuracy import as_percentage
 from ..ml.naive_bayes import BernoulliNaiveBayes
 from ..multidim.rsfd import RSFD
 from .config import PAPER_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 from .reporting import mean_rows
 
 #: RS+FD protocol labels evaluated in Figs. 3 / 14 / 15.
@@ -210,7 +210,7 @@ def run_attribute_inference_rsfd(
     seed: int = 42,
     figure: str = "attribute_inference_rsfd",
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

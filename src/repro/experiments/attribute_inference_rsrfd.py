@@ -31,7 +31,7 @@ from .attribute_inference_rsfd import (
     resolve_classifier_factory,
 )
 from .config import PAPER_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 from .reporting import mean_rows
 
 #: RS+RFD protocols evaluated in Figs. 6 and 17.
@@ -177,7 +177,7 @@ def run_attribute_inference_rsrfd(
     seed: int = 42,
     figure: str = "attribute_inference_rsrfd",
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

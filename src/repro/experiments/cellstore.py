@@ -1,19 +1,17 @@
 """WAL-mode SQLite cell store: cache entries, shard journals, run ledger.
 
-The JSON :class:`~repro.experiments.grid.GridCache` keeps one file per
-cached cell and the sharded engine keeps one append-only JSONL journal per
-shard — at production grid sizes (1e5+ cells) directory scans, per-file
-eviction and journal replay dominate wall-clock.  This module moves all
-three kinds of state into **one SQLite database** per store:
+The grid engine's only persistent state lives in **one SQLite database**
+per store (``<cache-dir>/cells.sqlite`` for the cell cache,
+``<workspace>/shards.sqlite`` for a shard workspace's journal), with three
+tables:
 
 * ``cells`` — the completed-cell memo (``config_hash`` primary key, rows as
   canonical JSON, ``last_used_at`` refreshed on every hit so eviction is a
   single indexed least-recently-used delete);
 * ``shard_journal`` — per-plan completion journals: concurrent shard
   invocations append to the same database (WAL + ``busy_timeout`` make the
-  tiny per-cell transactions safe) and resume state becomes a query,
-  ``SELECT ... FROM shard_journal WHERE fingerprint = ?``, instead of a
-  line-by-line JSONL replay;
+  tiny per-cell transactions safe) and resume state is one query,
+  ``SELECT ... FROM shard_journal WHERE fingerprint = ?``;
 * ``runs`` — a ledger of every ``run_grid`` / ``run_shard`` invocation with
   its JSON execution summary, so a long sweep's history is queryable.
 
@@ -28,15 +26,17 @@ created and upgraded through the ordered migration scripts in
 an old database applies only the missing migrations, and a database written
 by a *newer* library version is refused instead of corrupted.
 
-:class:`SQLiteCellStore` implements the same
-:class:`~repro.experiments.grid.CellStore` seam as ``GridCache`` (the JSON
-layout stays as the parity baseline, selected by ``--cache-backend json``),
-including the degrade-to-a-warned-miss contract: no storage failure may
-abort a grid run that can still compute its cells.
+:class:`SQLiteCellStore` implements the
+:class:`~repro.experiments.grid.CellStore` seam, including its
+degrade-to-a-warned-miss contract: no storage failure may abort a grid run
+that can still compute its cells.  SQLite's WAL mode needs every writer on
+one host.  Cache directories written by older versions of this package
+(one JSON file per cell) are ignored; their cells are recomputed once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 import time
@@ -51,7 +51,7 @@ from .grid import GRID_SCHEMA_VERSION, CellStore, GridCell, _jsonable
 T = TypeVar("T")
 
 #: Database file name used when a store is built from a cache *directory*
-#: (``--cache-dir X --cache-backend sqlite`` → ``X/cells.sqlite``).
+#: (``--cache-dir X`` → ``X/cells.sqlite``).
 DEFAULT_DB_NAME = "cells.sqlite"
 
 #: How long one write *attempt* waits on a locked database.  Deliberately
@@ -170,13 +170,10 @@ class SQLiteCellStore(CellStore):
         database never abort each other.
 
     Error contract: construction fails fast with
-    :class:`~repro.exceptions.InvalidParameterError` on an unusable path —
-    exactly like ``GridCache`` with an unusable directory — while every
-    later storage failure degrades to a once-warned miss/no-op so a grid
-    run keeps computing.
+    :class:`~repro.exceptions.InvalidParameterError` on an unusable path,
+    while every later storage failure degrades to a once-warned miss/no-op
+    so a grid run keeps computing.
     """
-
-    backend = "sqlite"
 
     def __init__(
         self,
@@ -243,17 +240,26 @@ class SQLiteCellStore(CellStore):
                 f"this library's {CELLSTORE_SCHEMA_VERSION}; refusing to touch it"
             )
         for number in range(version + 1, len(_MIGRATIONS) + 1):
-            # one transaction per migration: a crash mid-upgrade leaves the
-            # database at the previous consistent version, not in between
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
+            self._retry_write("migrate", functools.partial(self._apply_migration, number))
+
+    def _apply_migration(self, number: int) -> None:
+        """Apply migration ``number`` unless a concurrent opener already has.
+
+        One transaction per migration: a crash mid-upgrade leaves the
+        database at the previous consistent version, not in between.  The
+        version is re-read under the write lock because several shard
+        workers may open a fresh journal database at the same moment.
+        """
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            if self.schema_version() < number:
                 for statement in _statements(_MIGRATIONS[number - 1]):
                     self._conn.execute(statement)
                 self._conn.execute(f"PRAGMA user_version = {number}")
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
 
     # ------------------------------------------------------------------ #
     # shared plumbing
@@ -327,7 +333,8 @@ class SQLiteCellStore(CellStore):
             return None
         if row is None:
             return None
-        # same tamper/collision guard as the JSON cache
+        # guard against (astronomically unlikely) hash collisions and
+        # tampered entries
         if row["key"] != cell.key or int(row["master_seed"]) != int(cell.master_seed):
             return None
         try:
@@ -343,7 +350,7 @@ class SQLiteCellStore(CellStore):
                     (time.time(), cell.config_hash),
                 )
         except sqlite3.Error:
-            pass  # the LRU refresh is best-effort, like the JSON mtime touch
+            pass  # the LRU refresh is best-effort
         return rows
 
     def put(
@@ -451,7 +458,6 @@ class SQLiteCellStore(CellStore):
             self._warn_io("stats", exc)
             entries = total = journal = runs = version = 0
         return {
-            "backend": self.backend,
             "directory": str(self.directory),
             "path": str(self.path),
             "entries": int(entries),
@@ -517,9 +523,8 @@ class SQLiteCellStore(CellStore):
     def journal_records(self, fingerprint: str) -> Iterator[tuple[int, dict[str, Any]]]:
         """``(shard_index, entry)`` of every journaled cell of a plan.
 
-        Undecodable entries are skipped (mirroring the JSONL journal's
-        torn-line tolerance); storage failures degrade to an empty iteration
-        with the usual warning.
+        Undecodable entries are skipped; storage failures degrade to an
+        empty iteration with the usual warning.
         """
         try:
             rows = self._conn.execute(
@@ -541,8 +546,7 @@ class SQLiteCellStore(CellStore):
     def journal_entries(self, fingerprint: str) -> dict[str, dict[str, Any]]:
         """Resume state of a plan: ``{config_hash: entry}`` for every shard.
 
-        This is the query that replaces the JSONL journal replay — one
-        indexed lookup instead of re-parsing a line per completed cell.
+        One indexed lookup on the plan fingerprint.
         """
         return {
             str(entry["config_hash"]): entry
@@ -652,81 +656,3 @@ class SQLiteCellStore(CellStore):
                 }
             )
         return ledger
-
-    # ------------------------------------------------------------------ #
-    # migration from a JSON cache directory
-    # ------------------------------------------------------------------ #
-    def import_json_cache(self, directory: str | Path) -> dict[str, Any]:
-        """Import a :class:`GridCache` directory's entries into ``cells``.
-
-        Unreadable/corrupt files, entries of a different grid schema version
-        (their config hashes could never be queried anyway) and hashes
-        already present in the store (the database copy wins — it may be
-        fresher) are skipped, each counted in the returned summary.  File
-        modification times become ``last_used_at``, so the imported entries
-        keep their LRU order.
-        """
-        directory = Path(directory)
-        imported = skipped = present = 0
-        for path in sorted(directory.glob("*.json")):
-            try:
-                stat = path.stat()
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                skipped += 1
-                continue
-            if (
-                not isinstance(entry, dict)
-                or entry.get("schema") != GRID_SCHEMA_VERSION
-                or not isinstance(entry.get("rows"), list)
-                or not isinstance(entry.get("key"), str)
-            ):
-                skipped += 1
-                continue
-            payload = _compact_json(entry["rows"])
-
-            def insert(
-                stem: str = path.stem,
-                record: "dict[str, Any]" = entry,
-                blob: str = payload,
-                mtime: float = stat.st_mtime,
-            ) -> sqlite3.Cursor:
-                with self._conn:
-                    return self._conn.execute(
-                        """
-                        INSERT OR IGNORE INTO cells
-                            (config_hash, key, schema, runner, master_seed,
-                             rows, elapsed, size_bytes, created_at, last_used_at)
-                        VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                        """,
-                        (
-                            stem,
-                            record["key"],
-                            int(record["schema"]),
-                            str(record.get("runner", "")),
-                            int(record.get("master_seed", 0)),
-                            blob,
-                            float(record.get("elapsed", 0.0)),
-                            len(blob.encode("utf-8")),
-                            mtime,
-                            mtime,
-                        ),
-                    )
-
-            try:
-                cursor = self._retry_write("import", insert)
-            except (sqlite3.Error, TypeError, ValueError):
-                skipped += 1
-                continue
-            if cursor.rowcount:
-                imported += 1
-            else:
-                present += 1
-        self._enforce_bounds()
-        return {
-            "directory": str(directory),
-            "store": str(self.path),
-            "imported": imported,
-            "already_present": present,
-            "skipped": skipped,
-        }

@@ -29,7 +29,7 @@ from ..core.rng import derive_rng
 from ..datasets.loaders import load_dataset
 from ..metrics.accuracy import as_percentage
 from .config import PAPER_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 from .reporting import mean_rows
 
 #: Protocols plotted in Figs. 2 and 9-13.
@@ -181,7 +181,7 @@ def run_reidentification_smp(
     figure: str = "reident_smp",
     redraw_attributes: bool = False,
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

@@ -11,23 +11,21 @@ expanding it into grid cells and a pure *postprocess* function aggregating
 raw cell rows into the figure's final rows.  That split is what makes
 execution pluggable: the same plan runs serially, across a process pool
 (``--workers``), as one sharded invocation (``--shards N``), or split over
-*separate* invocations (``--shards N --shard-index i`` writing per-shard
-partial artifacts, then ``--shards N --merge-shards`` reassembling the
-canonical figure artifact), or on the lease-based remote executor
+*separate* invocations on one host (``--shards N --shard-index i``
+journaling each shard's cells into the workspace's ``shards.sqlite``, then
+``--shards N --merge-shards`` reassembling the canonical figure artifact),
+or on the lease-based remote executor
 (``--remote-workers N`` spawning local workers, ``--remote-listen``
 accepting external ones, tuned by ``--lease-timeout`` / ``--max-retries``
 with the coordinator's event journal in ``--remote-log``).  All paths
 produce byte-identical rows.
 
 Other engine knobs: ``--cache-dir`` / ``--no-cache`` control the on-disk
-cell memo, ``--cache-backend {json,sqlite}`` selects its storage layout
-(file-per-cell JSON, or one WAL-mode SQLite database that also carries the
-shard journal and a run ledger), ``--cache-max-entries`` /
-``--cache-max-bytes`` bound its size, ``--seed`` overrides the master seed
-and ``--out`` persists rows, metadata and per-cell timings as a figure
-artifact.  Figure-less maintenance commands: ``--migrate-cache`` imports an
-existing JSON cache directory into the SQLite store, ``--show-runs [N]``
-prints the run ledger.
+cell memo (one WAL-mode SQLite database, ``<cache-dir>/cells.sqlite``, that
+also carries a run ledger), ``--cache-max-entries`` / ``--cache-max-bytes``
+bound its size, ``--seed`` overrides the master seed and ``--out`` persists
+rows, metadata and per-cell timings as a figure artifact.  The figure-less
+maintenance command ``--show-runs [N]`` prints the run ledger.
 
 Figure-less service commands: ``--serve HOST:PORT`` runs the live LDP
 collection server of :mod:`repro.service` over the attributes given by
@@ -61,9 +59,9 @@ from .attribute_inference_rsrfd import (
     plan_attribute_inference_rsrfd,
     postprocess_attribute_inference_rsrfd,
 )
+from .cellstore import SQLiteCellStore
 from .config import PIE_BETAS, QUICK
 from .grid import (
-    CACHE_BACKENDS,
     CellStore,
     Executor,
     GridCell,
@@ -84,7 +82,6 @@ from .reporting import format_table, save_artifact
 from .sharding import (
     DEFAULT_GC_MAX_AGE_SECONDS,
     ShardedExecutor,
-    find_shard_artifacts,
     gc_shard_workspaces,
     journal_artifacts,
     merge_artifacts,
@@ -406,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help=f"figure identifier, one of: {', '.join(sorted(available_experiments()))} "
-        "(omittable only with the maintenance flags --migrate-cache/--show-runs)",
+        "(omittable only with the maintenance flag --show-runs)",
     )
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument(
@@ -450,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
-        help=f"on-disk cell-cache directory (default: {DEFAULT_CACHE_DIR})",
+        help="on-disk cell-cache directory, holding cells.sqlite "
+        f"(default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--no-cache",
@@ -458,30 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the on-disk cell cache",
     )
     parser.add_argument(
-        "--cache-backend",
-        choices=CACHE_BACKENDS,
-        # None is a sentinel for "not given", so the conflict checks can tell
-        # an explicit --cache-backend json apart from the default; main()
-        # resolves it to "json" after validation
-        default=None,
-        help="cell-store layout: 'json' keeps one file per cached cell plus "
-        "per-shard artifact files (the parity baseline); 'sqlite' keeps "
-        "cells, shard journals and the run ledger in WAL-mode databases "
-        "(default: json)",
-    )
-    parser.add_argument(
         "--cache-max-entries",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="evict oldest cache entries beyond N files (default: unbounded)",
+        help="evict least-recently-used cache entries beyond N (default: unbounded)",
     )
     parser.add_argument(
         "--cache-max-bytes",
         type=_positive_int,
         default=None,
         metavar="B",
-        help="evict oldest cache entries beyond B total bytes (default: unbounded)",
+        help="evict least-recently-used cache entries beyond B total bytes "
+        "(default: unbounded)",
     )
     parser.add_argument(
         "--out",
@@ -499,8 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     sharding = parser.add_argument_group(
         "sharded execution",
         "split a figure's cells into N deterministic shards; run any shard in "
-        "its own invocation, then merge the partial artifacts back into the "
-        "canonical figure artifact (byte-identical to a single-invocation run)",
+        "its own invocation on this host, then merge the shard journal back "
+        "into the canonical figure artifact (byte-identical to a "
+        "single-invocation run)",
     )
     sharding.add_argument(
         "--shards",
@@ -515,19 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=None,
         metavar="I",
-        help="execute only shard I (0-based) and write its partial artifact; "
+        help="execute only shard I (0-based), journaling its cells; "
         "re-invoking resumes, recomputing only the missing cells",
     )
     sharding.add_argument(
         "--merge-shards",
         action="store_true",
-        help="merge the partial artifacts of all N shards into the figure's rows",
+        help="merge the journaled cells of all N shards into the figure's rows",
     )
     sharding.add_argument(
         "--shard-dir",
         default=None,
         metavar="DIR",
-        help="directory holding per-shard partial artifacts "
+        help="directory holding the per-plan shard workspaces "
         f"(default: {DEFAULT_SHARD_ROOT}/<figure>)",
     )
     sharding.add_argument(
@@ -644,20 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
         "figure-less commands operating on the --cache-dir cell store",
     )
     maintenance.add_argument(
-        "--migrate-cache",
-        action="store_true",
-        help="import the JSON cache entries of --cache-dir into its SQLite "
-        "store (cells.sqlite) and exit; existing database entries win, file "
-        "modification times become the entries' LRU order",
-    )
-    maintenance.add_argument(
         "--show-runs",
         type=int,
         nargs="?",
         const=20,
         default=None,
         metavar="N",
-        help="print the newest N entries (default 20) of the SQLite store's "
+        help="print the newest N entries (default 20) of the cell store's "
         "run ledger as JSON lines and exit",
     )
     return parser
@@ -668,12 +649,15 @@ def _shard_root(args: argparse.Namespace) -> str:
 
 
 def _record_run(
-    cache: "CellStore | None", kind: str, figure: str | None, summary: dict, started_at: float
+    cache: "SQLiteCellStore | None",
+    kind: str,
+    figure: str | None,
+    summary: dict,
+    started_at: float,
 ) -> None:
-    """Append to the SQLite store's run ledger (no-op for other backends)."""
-    recorder = getattr(cache, "record_run", None)
-    if recorder is not None:
-        recorder(
+    """Append to the cell store's run ledger (no-op without a cache)."""
+    if cache is not None:
+        cache.record_run(
             kind,
             figure=figure,
             summary=summary,
@@ -682,7 +666,7 @@ def _record_run(
         )
 
 
-def _shard_main(args: argparse.Namespace, cache: "CellStore | None") -> int:
+def _shard_main(args: argparse.Namespace, cache: "SQLiteCellStore | None") -> int:
     """Handle the ``--shard-index`` / ``--merge-shards`` CLI paths."""
     figure = args.figure.strip().lower()
     spec = figure_spec(figure, quick=not args.full)
@@ -701,21 +685,14 @@ def _shard_main(args: argparse.Namespace, cache: "CellStore | None") -> int:
             workspace,
             workers=args.workers,
             cache=cache,
-            cache_backend=args.cache_backend,
         )
         _record_run(cache, "run_shard", figure, result.summary(), started_at)
         print(json.dumps(result.summary()))
         return 0
 
-    if args.cache_backend == "sqlite":
-        store = workspace_store(workspace)
-        try:
-            artifacts = journal_artifacts(store, plan_fingerprint(cells), shards)
-        finally:
-            store.close()
-    else:
-        artifacts = find_shard_artifacts(workspace, shards)
-    merged = merge_artifacts(cells, artifacts, expected_shards=shards)
+    with workspace_store(workspace) as store:
+        artifacts = journal_artifacts(store, plan_fingerprint(cells), shards)
+    merged = merge_artifacts(cells, artifacts)
     rows = spec.postprocess(merged.rows)
     _record_run(cache, "merge_shards", figure, merged.summary(), started_at)
     print(format_table(rows))
@@ -733,7 +710,6 @@ def _write_figure_artifact(
         "quick": not args.full,
         "seed": args.seed,
         "cache_dir": None if args.no_cache else str(args.cache_dir),
-        "cache_backend": args.cache_backend,
         "kernel_backend": active_backend_name(),
         "grid": grid_summary,
     }
@@ -795,27 +771,15 @@ def _service_main(
 
 
 def _maintenance_main(args: argparse.Namespace) -> int:
-    """Handle the figure-less ``--migrate-cache`` / ``--show-runs`` paths."""
-    from .cellstore import SQLiteCellStore
-
+    """Handle the figure-less ``--show-runs`` path."""
     try:
-        store = SQLiteCellStore.for_directory(
-            args.cache_dir,
-            max_entries=args.cache_max_entries,
-            max_bytes=args.cache_max_bytes,
-        )
+        store = SQLiteCellStore.for_directory(args.cache_dir)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.migrate_cache:
-            summary = store.import_json_cache(args.cache_dir)
-            print(json.dumps(summary))
-        if args.show_runs is not None:
-            for entry in store.runs_ledger(limit=args.show_runs):
-                print(json.dumps(entry))
-    finally:
-        store.close()
+    with store:
+        for entry in store.runs_ledger(limit=args.show_runs):
+            print(json.dumps(entry))
     return 0
 
 
@@ -891,7 +855,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             or args.merge_shards
             or args.gc_shards
             or remote_mode
-            or args.migrate_cache
             or args.show_runs is not None
             or args.out is not None
             or args.executor is not None
@@ -917,7 +880,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "--window/--attribute/--queue-size configure the collection "
             "service and require --serve or --snapshot"
         )
-    if args.migrate_cache or args.show_runs is not None:
+    if args.show_runs is not None:
         if (
             args.figure is not None
             or args.shards is not None
@@ -929,26 +892,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             or args.executor is not None
         ):
             parser.error(
-                "--migrate-cache/--show-runs are figure-less maintenance "
-                "commands and cannot be combined with a figure, sharding, "
-                "remote-execution or executor flags"
+                "--show-runs is a figure-less maintenance command and cannot "
+                "be combined with a figure, sharding, remote-execution or "
+                "executor flags"
             )
         if args.out is not None:
             parser.error(
-                "--migrate-cache/--show-runs print JSON to stdout and write no "
-                "figure artifact; --out requires a figure"
+                "--show-runs prints JSON to stdout and writes no figure "
+                "artifact; --out requires a figure"
             )
         if args.no_cache:
-            parser.error("--migrate-cache/--show-runs require a cache directory")
-        if args.cache_backend == "json":
-            parser.error(
-                "--migrate-cache/--show-runs operate on the SQLite cell store "
-                "of --cache-dir and cannot be combined with --cache-backend json"
-            )
+            parser.error("--show-runs requires a cache directory")
         return _maintenance_main(args)
-    # every remaining path runs a figure; resolve the backend sentinel now
-    if args.cache_backend is None:
-        args.cache_backend = "json"
     if args.figure is None:
         parser.error("a figure identifier is required")
     if args.gc_shards:
@@ -981,7 +936,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             None if args.no_cache else args.cache_dir,
             max_entries=args.cache_max_entries,
             max_bytes=args.cache_max_bytes,
-            cache_backend=args.cache_backend,
         )
         if args.shard_index is not None or args.merge_shards:
             return _shard_main(args, cache)
@@ -1015,7 +969,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 cache_dir=None if args.no_cache else args.cache_dir,
                 cache_max_entries=None if args.no_cache else args.cache_max_entries,
                 cache_max_bytes=None if args.no_cache else args.cache_max_bytes,
-                cache_backend=args.cache_backend,
             )
         elif args.executor is not None:
             if args.executor == "thread":
@@ -1038,7 +991,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if cache is not None and hasattr(cache, "close"):
+        if cache is not None:
             cache.close()
     print(format_table(rows))
     _write_figure_artifact(args, args.figure.strip().lower(), rows, grid_info)

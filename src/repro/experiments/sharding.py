@@ -1,25 +1,28 @@
 """Sharded, resumable grid execution.
 
 A figure's cell plan can be split into ``N`` deterministic shards that
-execute in *separate invocations* — different processes, different machines
-sharing a filesystem, or different points in time — and merge back into the
-canonical figure artifact:
+execute in *separate invocations* — different processes on one host, or
+different points in time — and merge back into the canonical figure
+artifact.  Every shard invocation of a plan journals its completed cells
+into the workspace's one WAL-mode :data:`SHARD_DB_NAME` database (SQLite
+WAL needs all writers on one host; spreading cells across machines is the
+job of :class:`repro.experiments.remote.RemoteExecutor`):
 
 * :func:`shard_positions` assigns cells to shards round-robin over the plan
   order, so any ``(shards, shard_index)`` pair names the same subset on every
   invocation of the same plan;
-* :func:`run_shard` executes one shard resumably: cells already present in
-  the shard's partial artifact (same :func:`plan_fingerprint`) are *resumed*
-  instead of recomputed, so an interrupted invocation picks up where it
-  stopped;
-* :func:`merge_artifacts` combines partial artifacts — in any order, from
-  any shard count — into the full plan's rows, with completeness checking
-  that names the missing cells instead of silently truncating;
+* :func:`run_shard` executes one shard resumably: cells of the same
+  :func:`plan_fingerprint` already in the journal are *resumed* instead of
+  recomputed, so an interrupted invocation picks up where it stopped;
+* :func:`journal_artifacts` reads the journal back as one in-memory partial
+  artifact per shard, and :func:`merge_artifacts` combines such artifacts —
+  in any order, from any shard count — into the full plan's rows, with
+  completeness checking that names the missing cells instead of silently
+  truncating;
 * :class:`ShardedExecutor` plugs the whole cycle behind the
   :class:`repro.experiments.grid.Executor` seam, launching one
   ``python -m repro.experiments.shard_worker`` subprocess per shard (or
-  running shards inline) and merging the partial artifacts back into the
-  grid result.
+  running shards inline) and merging the journal back into the grid result.
 
 Because every cell derives its random stream from the master seed and its
 own key alone (independent of placement), sharded execution is byte-identical
@@ -53,20 +56,17 @@ from .grid import (
     GridCell,
     RecordFn,
     _jsonable,
-    _write_json_atomic,
     canonical_json,
     run_grid,
-    validate_cache_backend,
 )
 
 #: File name of the serialized plan inside a shard directory.
 PLAN_FILE = "plan.json"
 
-#: Database file holding a workspace's shard completion journal when the
-#: ``sqlite`` cache backend is selected: every shard invocation of a plan
-#: appends its completed cells to this one WAL-mode database (no per-shard
-#: artifact files, no merge of partials — the merge reads the journal back
-#: with one query per plan fingerprint).
+#: Database file holding a workspace's shard completion journal: every
+#: shard invocation of a plan appends its completed cells to this one
+#: WAL-mode database, and the merge reads the journal back with one query
+#: per plan fingerprint.
 SHARD_DB_NAME = "shards.sqlite"
 
 
@@ -75,8 +75,8 @@ def workspace_store(directory: str | Path) -> "SQLiteCellStore":
 
     The journal is *not* a cell cache: it holds shard completion records
     keyed by plan fingerprint, lives at a fixed path inside the workspace,
-    and has no bounds or backend choice — so ``CellStore.from_options``
-    (which wires user-facing cache options) is deliberately not involved.
+    and has no bounds — so ``CellStore.from_options`` (which wires
+    user-facing cache options) is deliberately not involved.
     """
     from .cellstore import SQLiteCellStore
 
@@ -126,7 +126,7 @@ def plan_workspace(root: str | Path, cells: Sequence[GridCell]) -> Path:
     """Per-plan shard workspace inside a shared ``root`` directory.
 
     Keyed by the plan fingerprint, so one persistent root serves many plans
-    (figures, scales, seeds) without their partial artifacts colliding.
+    (figures, scales, seeds) without their plan files colliding.
     Both the CLI shard paths and :class:`ShardedExecutor` resolve workspaces
     through this helper, so they agree on the layout.
     """
@@ -134,14 +134,68 @@ def plan_workspace(root: str | Path, cells: Sequence[GridCell]) -> Path:
 
 
 # --------------------------------------------------------------------------- #
-# plan and partial-artifact files
+# plan files and journal artifacts
 # --------------------------------------------------------------------------- #
+def _fsync_directory(directory: Path) -> None:
+    """Best-effort fsync of a directory, so a fresh rename survives power loss.
+
+    Platforms that cannot open directories for fsync (e.g. Windows) simply
+    skip this step — it strengthens durability, never correctness.
+    """
+    fd = None
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        if fd is not None:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+
+
+def _write_json_atomic(path: Path, payload: Any) -> Path:
+    """Write ``payload`` as JSON via a temp file + fsync + ``os.replace``.
+
+    Crash-atomic: readers never observe a torn file, and the temp file is
+    fsynced *before* the rename (plus a best-effort fsync of the directory
+    after it) so a power loss cannot surface an empty or torn renamed file.
+    Used for plan files, which concurrent invocations may race to write.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        mode="w",
+        encoding="utf-8",
+        dir=path.parent,
+        prefix=f".{path.name}.",
+        suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with handle:
+            json.dump(payload, handle, indent=1)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+        _fsync_directory(path.parent)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 def write_plan(directory: str | Path, cells: Sequence[GridCell], shards: int) -> Path:
     """Persist the plan file a shard worker needs to recreate the cells.
 
     Idempotent for the same plan; a *different* plan already occupying the
-    directory is an operator error (mixing two runs' partial artifacts would
-    poison the merge) and raises instead of silently overwriting.
+    directory is an operator error (its shard workers would load the wrong
+    cells) and raises instead of silently overwriting.
     """
     shards = validate_shards(shards)
     fingerprint = plan_fingerprint(cells)
@@ -192,82 +246,14 @@ def load_plan(path: str | Path) -> dict[str, Any]:
     return plan
 
 
-def shard_artifact_path(directory: str | Path, shards: int, shard_index: int) -> Path:
-    """Canonical partial-artifact path of one shard."""
-    validate_shards(shards, shard_index)
-    return Path(directory) / f"shard-{int(shard_index):04d}-of-{int(shards):04d}.json"
-
-
-def _journal_path(artifact_path: Path) -> Path:
-    """Append-only completion journal backing one shard artifact."""
-    return artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-
-
-def _load_journal(journal: Path, fingerprint: str) -> dict[str, dict[str, Any]]:
-    """Entries recovered from a crashed invocation's journal (may be empty).
-
-    Lines are self-contained ``{"plan_hash", "entry"}`` records; torn lines
-    (a crash interrupted the write) and records of a different plan are
-    skipped, never the valid records around them.
-    """
-    recovered: dict[str, dict[str, Any]] = {}
-    try:
-        with open(journal, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line from a crash mid-append
-                if record.get("plan_hash") != fingerprint:
-                    continue
-                entry = record.get("entry") or {}
-                if "config_hash" in entry:
-                    recovered[str(entry["config_hash"])] = entry
-    except OSError:
-        pass
-    return recovered
-
-
-def find_shard_artifacts(directory: str | Path, shards: int) -> list[Path]:
-    """Existing partial artifacts of an ``N``-shard split (sorted by index)."""
-    shards = validate_shards(shards)
-    return [
-        path
-        for index in range(shards)
-        if (path := shard_artifact_path(directory, shards, index)).exists()
-    ]
-
-
-def load_shard_artifact(path: str | Path) -> dict[str, Any]:
-    """Load and structurally validate one partial artifact."""
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ShardMergeError(f"cannot read shard artifact {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ShardMergeError(f"shard artifact {path} is not a JSON object")
-    for field in ("plan_hash", "shards", "shard_index", "entries"):
-        if field not in payload:
-            raise ShardMergeError(f"shard artifact {path} lacks the {field!r} field")
-    payload["path"] = str(path)
-    return payload
-
-
 def journal_artifacts(
     store: "SQLiteCellStore", fingerprint: str, shards: int
 ) -> list[dict[str, Any]]:
     """Reassemble per-shard in-memory artifacts from a journal database.
 
-    The DB-backed counterpart of :func:`find_shard_artifacts` +
-    :func:`load_shard_artifact`: one ``shard_journal`` query per plan
-    fingerprint replaces reading ``N`` partial-artifact files, and the
-    returned mappings feed straight into :func:`merge_artifacts` (which
-    accepts in-memory artifacts as well as paths).
+    One ``shard_journal`` query per plan fingerprint; the returned mappings
+    (``plan_hash``, ``shards``, ``shard_index``, ``entries``, ``path``) feed
+    straight into :func:`merge_artifacts`.
     """
     shards = validate_shards(shards)
     entries_by_shard: dict[int, list[dict[str, Any]]] = {
@@ -309,7 +295,6 @@ class ShardRunResult:
     resumed: int
     from_cache: int
     deduplicated: int
-    backend: str = "json"
 
     def summary(self) -> dict[str, Any]:
         """JSON-serializable invocation summary (printed by the CLI)."""
@@ -322,8 +307,7 @@ class ShardRunResult:
             "resumed": self.resumed,
             "from_cache": self.from_cache,
             "deduplicated": self.deduplicated,
-            "artifact": str(self.path),
-            "backend": self.backend,
+            "journal": str(self.path),
         }
 
 
@@ -336,177 +320,80 @@ def run_shard(
     workers: int = 1,
     cache: "CellStore | str | Path | None" = None,
     resume: bool = True,
-    cache_backend: str = "json",
 ) -> ShardRunResult:
-    """Execute one shard of a plan and persist its completed cells.
+    """Execute one shard of a plan and journal its completed cells.
 
-    Resumable: when the shard's artifact — or the append-only completion
-    journal a killed invocation leaves behind — already holds cells for the
-    *same* plan fingerprint, they are reused (``resumed``) and only the
-    missing ones are recomputed, so re-invoking an interrupted shard
-    finishes the remainder.  Each completed cell is appended to the journal
-    (linear I/O); the canonical artifact is written once at the end, which
-    removes the journal.  A partial artifact belonging to a different plan
-    raises instead of being silently discarded.
-
-    ``cache_backend="sqlite"`` replaces the per-shard JSON artifact and
-    JSONL journal with the workspace's one :data:`SHARD_DB_NAME` database:
-    every completed cell is journaled there as it finishes (concurrent
-    shard invocations append to the same database — WAL mode plus
-    ``busy_timeout`` serialize them), resume state is the single query
-    ``journal_entries(fingerprint)``, and no artifact file is written —
-    the merge reads the journal back.  Any entry of the plan already in
-    the journal counts as resumable, whichever invocation computed it.
+    Every completed cell is committed to the workspace's
+    :data:`SHARD_DB_NAME` journal as it finishes; concurrent shard
+    invocations append to the same database (WAL mode plus
+    ``busy_timeout`` serialize them).  Resumable: any entry of the *same*
+    plan fingerprint already in the journal — whichever invocation computed
+    it — is reused (``resumed``) and only the missing cells are recomputed,
+    so re-invoking an interrupted shard finishes the remainder.
+    ``resume=False`` first drops this shard's journal rows (other shards'
+    completed work stays valid).
     """
     cells = list(cells)
     shards = validate_shards(shards, shard_index)
-    validate_cache_backend(cache_backend)
     fingerprint = plan_fingerprint(cells)
-    if isinstance(cache, (str, Path)):
-        cache = CellStore.from_options(cache, cache_backend=cache_backend)
 
-    store: "SQLiteCellStore | None" = None
-    previous: dict[str, dict[str, Any]] = {}
-    if cache_backend == "sqlite":
-        path = Path(directory) / SHARD_DB_NAME
-        journal = None
-        store = workspace_store(directory)
-        if not resume:
-            # purge only THIS shard's journal rows: other shards' completed
-            # work (possibly still being appended concurrently) stays valid
-            store.journal_clear(fingerprint, shard_index=shard_index)
-        else:
+    def journal(outcome: CellOutcome) -> None:
+        store.journal_append(
+            fingerprint,
+            shard_index,
+            {
+                "config_hash": outcome.cell.config_hash,
+                "key": outcome.cell.key,
+                "figure": outcome.cell.figure,
+                "runner": outcome.cell.runner,
+                "params": outcome.cell.payload()["params"],
+                # runners may return numpy scalars; store plain JSON types
+                "rows": _jsonable(outcome.rows),
+                "elapsed": outcome.elapsed,
+                "source": outcome.source,
+            },
+        )
+
+    with workspace_store(directory) as store:
+        previous: dict[str, dict[str, Any]] = {}
+        if resume:
             previous = store.journal_entries(fingerprint)
-    else:
-        path = shard_artifact_path(directory, shards, shard_index)
-        journal = _journal_path(path)
-
-        if not resume:
-            # a forced recompute must purge the old state: a crash
-            # mid-recompute would otherwise let the next (resuming)
-            # invocation restore exactly the stale entries this flag was
-            # meant to discard
-            path.unlink(missing_ok=True)
-            journal.unlink(missing_ok=True)
-
-        if path.exists():
-            artifact = load_shard_artifact(path)
-            if artifact["plan_hash"] != fingerprint:
-                raise InvalidParameterError(
-                    f"shard artifact {path} belongs to a different plan "
-                    f"(hash {str(artifact['plan_hash'])[:12]}... != {fingerprint[:12]}...); "
-                    "use a fresh shard directory per (figure, scale, seed)"
-                )
-            if resume:
-                previous = {
-                    str(entry["config_hash"]): entry for entry in artifact["entries"]
-                }
-        if journal.exists():
-            if resume:
-                for config_hash, entry in _load_journal(journal, fingerprint).items():
-                    previous.setdefault(config_hash, entry)
-            try:
-                # a killed append may have left a torn, newline-less tail;
-                # start this invocation's records on a fresh line so they
-                # stay parseable
-                content = journal.read_bytes()
-                if content and not content.endswith(b"\n"):
-                    with open(journal, "ab") as handle:
-                        handle.write(b"\n")
-            except OSError:
-                pass
-
-    def entry_from_outcome(outcome: CellOutcome) -> dict[str, Any]:
-        return {
-            "config_hash": outcome.cell.config_hash,
-            "key": outcome.cell.key,
-            "figure": outcome.cell.figure,
-            "runner": outcome.cell.runner,
-            "params": outcome.cell.payload()["params"],
-            # same coercion GridCache.put applies, so runners returning
-            # numpy scalars serialize on the sharded path too
-            "rows": _jsonable(outcome.rows),
-            "elapsed": outcome.elapsed,
-            "source": outcome.source,
-        }
-
-    # duplicate work inside the shard gets one entry (first occurrence wins)
-    entries_by_hash: dict[str, dict[str, Any]] = {}
-    to_compute: dict[str, GridCell] = {}
-    resumed = 0
-    mine = 0
-    duplicates = 0
-    for position in shard_positions(len(cells), shards, shard_index):
-        cell = cells[position]
-        mine += 1
-        config_hash = cell.config_hash
-        if config_hash in entries_by_hash or config_hash in to_compute:
-            duplicates += 1
-            continue
-        if config_hash in previous:
-            entry = dict(previous[config_hash])
-            entry["source"] = "resumed"
-            entries_by_hash[config_hash] = entry
-            resumed += 1
         else:
-            to_compute[config_hash] = cell
-    missing = list(to_compute.values())
+            store.journal_clear(fingerprint, shard_index=shard_index)
 
-    def artifact_payload() -> dict[str, Any]:
-        return {
-            "schema": GRID_SCHEMA_VERSION,
-            "plan_hash": fingerprint,
-            "shards": shards,
-            "shard_index": shard_index,
-            "entries": list(entries_by_hash.values()),
-        }
+        # duplicate work inside the shard is computed once (first occurrence)
+        seen: set[str] = set()
+        missing: list[GridCell] = []
+        resumed = 0
+        mine = 0
+        duplicates = 0
+        for position in shard_positions(len(cells), shards, shard_index):
+            cell = cells[position]
+            mine += 1
+            config_hash = cell.config_hash
+            if config_hash in seen:
+                duplicates += 1
+            elif config_hash in previous:
+                resumed += 1
+                # re-journaled so the merge reports the cell as resumed
+                entry = {**previous[config_hash], "source": "resumed"}
+                store.journal_append(fingerprint, shard_index, entry)
+            else:
+                missing.append(cell)
+            seen.add(config_hash)
 
-    def persist_incrementally(outcome: CellOutcome) -> None:
-        entry = entry_from_outcome(outcome)
-        entries_by_hash[outcome.cell.config_hash] = entry
-        if store is not None:
-            store.journal_append(fingerprint, shard_index, entry)
-            return
-        assert journal is not None  # json mode always sets the journal path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(journal, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps({"plan_hash": fingerprint, "entry": entry}) + "\n")
-        except OSError:
-            pass  # the final artifact write below surfaces persistent failures
-
-    try:
         result = (
-            run_grid(
-                missing, workers=workers, cache=cache, on_cell_complete=persist_incrementally
-            )
+            run_grid(missing, workers=workers, cache=cache, on_cell_complete=journal)
             if missing
             else None
         )
         if result is not None:
             # cells served by the cache stage never hit the completion hook
             for outcome in result.outcomes:
-                if outcome.cell.config_hash in entries_by_hash:
-                    continue
-                entry = entry_from_outcome(outcome)
-                entries_by_hash[outcome.cell.config_hash] = entry
-                if store is not None:
-                    store.journal_append(fingerprint, shard_index, entry)
-
-        if store is None:
-            assert journal is not None  # json mode always sets the journal path
-            _write_json_atomic(path, artifact_payload())
-            try:
-                journal.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - journal cleanup is best-effort
-                pass
-        # sqlite mode writes no artifact: the journal rows ARE the shard's
-        # durable state, already committed per cell as each one finished
-    finally:
-        if store is not None:
-            store.close()
+                if outcome.source == "cache":
+                    journal(outcome)
     return ShardRunResult(
-        path=path,
+        path=store.path,
         plan_hash=fingerprint,
         shards=shards,
         shard_index=shard_index,
@@ -515,7 +402,6 @@ def run_shard(
         resumed=resumed,
         from_cache=result.from_cache if result is not None else 0,
         deduplicated=duplicates + (result.deduplicated if result is not None else 0),
-        backend=cache_backend,
     )
 
 
@@ -559,17 +445,20 @@ class MergedShards:
 
 def merge_artifacts(
     cells: Sequence[GridCell],
-    artifacts: Sequence[str | Path | Mapping[str, Any]],
-    *,
-    expected_shards: int | None = None,
+    artifacts: Sequence[Mapping[str, Any]],
 ) -> MergedShards:
     """Merge per-shard partial artifacts into the plan's canonical rows.
+
+    An artifact is a mapping with the plan's ``plan_hash`` and the shard's
+    ``entries`` (``config_hash``, ``runner``, ``params``, ``rows``, ...), as
+    :func:`journal_artifacts` returns them.
 
     The merge is keyed by cell config hash and reassembles rows in *plan
     order*, so it is invariant to the order the artifacts are given in and
     to the shard count that produced them (merging a 2-way and a 3-way split
     of the same plan yields identical rows).  Safety properties:
 
+    * an artifact or entry lacking a required field is rejected;
     * every artifact must carry the plan's fingerprint (stale or foreign
       partials are rejected);
     * a cell appearing in several artifacts with *identical* rows is fine
@@ -581,12 +470,19 @@ def merge_artifacts(
     """
     cells = list(cells)
     fingerprint = plan_fingerprint(cells)
-    loaded = [
-        artifact if isinstance(artifact, Mapping) else load_shard_artifact(artifact)
-        for artifact in artifacts
-    ]
+    loaded = list(artifacts)
 
     for artifact in loaded:
+        name = artifact.get("path", "<in-memory>")
+        for field in ("plan_hash", "entries"):
+            if field not in artifact:
+                raise ShardMergeError(f"shard artifact {name} lacks the {field!r} field")
+        for entry in artifact["entries"]:
+            if "config_hash" not in entry or "rows" not in entry:
+                raise ShardMergeError(
+                    f"shard artifact {name} has an entry that lacks "
+                    "'config_hash' or 'rows'"
+                )
         if str(artifact["plan_hash"]) != fingerprint:
             raise ShardMergeError(
                 f"shard artifact {artifact.get('path', '<in-memory>')} belongs to a "
@@ -621,14 +517,9 @@ def merge_artifacts(
             for cell in missing
         ]
         shown = "; ".join(descriptors[:5]) + ("; ..." if len(descriptors) > 5 else "")
-        hint = (
-            f" (expected {expected_shards} shard artifacts, loaded {len(loaded)})"
-            if expected_shards is not None and len(loaded) != expected_shards
-            else ""
-        )
         raise ShardMergeError(
             f"{len(missing)} of {len(cells)} planned cells are absent from the "
-            f"merged shard artifacts{hint}: {shown}",
+            f"merged shard artifacts: {shown}",
             missing=descriptors,
         )
 
@@ -663,8 +554,8 @@ def _newest_mtime(directory: Path) -> float:
     """Most recent modification time of a workspace or anything inside it.
 
     A concurrent invocation that still owns the workspace keeps appending to
-    its journal / partial artifacts, so *any* fresh file (not just the old
-    ``plan.json``) must protect the whole workspace from the sweep.
+    its journal database (and its WAL file), so *any* fresh file (not just
+    the old ``plan.json``) must protect the whole workspace from the sweep.
     """
     try:
         newest = directory.stat().st_mtime
@@ -691,7 +582,7 @@ def gc_shard_workspaces(
     This sweep removes every workspace directory whose newest content is
     older than ``max_age_seconds`` and **never** touches younger ones — a
     workspace an active concurrent run owns is protected because that run
-    keeps refreshing its journal and partial artifacts.  Returns a JSON-able
+    keeps refreshing its journal.  Returns a JSON-able
     summary naming the removed and kept workspaces.
     """
     if float(max_age_seconds) < 0:
@@ -733,20 +624,20 @@ def _worker_env() -> dict[str, str]:
 
 
 class ShardedExecutor(Executor):
-    """Execute a grid as ``N`` shard invocations and merge their artifacts.
+    """Execute a grid as ``N`` shard invocations and merge their journal.
 
     Each shard runs as a separate ``python -m repro.experiments.shard_worker``
     subprocess (``launch="subprocess"``, the default — the same entrypoint a
     cluster scheduler would launch per machine) or inline in this process
-    (``launch="inline"``, no interpreter startup cost).  Partial artifacts
-    land under ``directory``, in a per-plan subdirectory named after the
-    plan fingerprint — so one persistent directory can serve many grids (a
-    whole benchmark sweep) and a changed pending-cell set (e.g. after cache
-    eviction) starts a fresh workspace instead of colliding with the old
-    plan.  Giving a persistent directory makes a run resumable — a
-    re-invocation of the same plan skips every cell whose shard artifact
-    already holds it — while ``None`` uses a temporary directory discarded
-    after the merge.
+    (``launch="inline"``, no interpreter startup cost).  The plan file and
+    the :data:`SHARD_DB_NAME` journal land under ``directory``, in a
+    per-plan subdirectory named after the plan fingerprint — so one
+    persistent directory can serve many grids (a whole benchmark sweep) and
+    a changed pending-cell set (e.g. after cache eviction) starts a fresh
+    workspace instead of colliding with the old plan.  Giving a persistent
+    directory makes a run resumable — a re-invocation of the same plan
+    skips every cell already in the journal — while ``None`` uses a
+    temporary directory discarded after the merge.
 
     ``workers`` is the per-shard process-pool size handed to each shard's
     ``run_grid`` call; subprocess shards additionally run concurrently with
@@ -754,12 +645,6 @@ class ShardedExecutor(Executor):
     cell store, so cells computed by the shards that *did* finish survive
     an interrupted run even without a persistent ``directory`` (matching
     the in-process executors, which cache per completion).
-    ``cache_backend`` selects the storage layout everywhere at once —
-    worker cell caches *and* the shard journal/artifact layer: ``json``
-    keeps the historical file-per-cell cache plus per-shard artifact files,
-    ``sqlite`` routes both through WAL-mode databases (the cache at
-    ``cache_dir/cells.sqlite``, the journal at the workspace's
-    :data:`SHARD_DB_NAME`).
     """
 
     def __init__(
@@ -773,7 +658,6 @@ class ShardedExecutor(Executor):
         cache_dir: "str | Path | None" = None,
         cache_max_entries: int | None = None,
         cache_max_bytes: int | None = None,
-        cache_backend: str = "json",
     ) -> None:
         self.shards = validate_shards(shards)
         if launch not in ("subprocess", "inline"):
@@ -789,7 +673,6 @@ class ShardedExecutor(Executor):
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.cache_max_entries = cache_max_entries
         self.cache_max_bytes = cache_max_bytes
-        self.cache_backend = validate_cache_backend(cache_backend)
 
     @property
     def total_workers(self) -> int:
@@ -819,37 +702,25 @@ class ShardedExecutor(Executor):
                 self.cache_dir,
                 max_entries=self.cache_max_entries,
                 max_bytes=self.cache_max_bytes,
-                cache_backend=self.cache_backend,
             )
-            for shard_index in range(self.shards):
-                run_shard(
-                    cells,
-                    self.shards,
-                    shard_index,
-                    directory,
-                    workers=self.workers,
-                    cache=cache,
-                    cache_backend=self.cache_backend,
-                )
+            try:
+                for shard_index in range(self.shards):
+                    run_shard(
+                        cells,
+                        self.shards,
+                        shard_index,
+                        directory,
+                        workers=self.workers,
+                        cache=cache,
+                    )
+            finally:
+                if cache is not None:
+                    cache.close()
         else:
             self._launch_subprocesses(plan_path, directory)
-        if self.cache_backend == "sqlite":
-            # no per-shard artifact files to find or load: one journal
-            # query reassembles every shard's entries from the workspace DB
-            store = workspace_store(directory)
-            try:
-                artifacts = journal_artifacts(
-                    store, plan_fingerprint(cells), self.shards
-                )
-            finally:
-                store.close()
-        else:
-            artifacts = find_shard_artifacts(directory, self.shards)
-        merged = merge_artifacts(
-            cells,
-            artifacts,
-            expected_shards=self.shards,
-        )
+        with workspace_store(directory) as store:
+            artifacts = journal_artifacts(store, plan_fingerprint(cells), self.shards)
+        merged = merge_artifacts(cells, artifacts)
         for (index, _), outcome in zip(tasks, merged.outcomes):
             # preserve worker-side provenance ("cache" hits, "resumed"
             # cells) so the parent summary reports it truthfully
@@ -862,7 +733,7 @@ class ShardedExecutor(Executor):
             and self.cache_max_bytes is None
         ):
             # every merged cell now lives in the (unbounded) shared cell
-            # cache, which makes the partial artifacts redundant — prune the
+            # cache, which makes the shard journal redundant — prune the
             # per-plan workspace so persistent roots do not accumulate one
             # directory per pending-set variant.  Without a cache — or with
             # a bounded one that may evict the cells — the workspace remains
@@ -889,10 +760,6 @@ class ShardedExecutor(Executor):
                 command += ["--cache-max-entries", str(self.cache_max_entries)]
             if self.cache_max_bytes is not None:
                 command += ["--cache-max-bytes", str(self.cache_max_bytes)]
-        if self.cache_backend != "json":
-            # the backend governs the journal/artifact layout too, so it is
-            # passed even without a cache directory
-            command += ["--cache-backend", self.cache_backend]
         return command
 
     def _launch_subprocesses(self, plan_path: Path, directory: Path) -> None:

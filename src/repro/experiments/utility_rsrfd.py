@@ -27,7 +27,7 @@ from ..multidim.variance import averaged_analytical_variance
 from ..protocols.streaming import validate_chunk_size
 from .attribute_inference_rsrfd import shared_priors
 from .config import UTILITY_EPSILONS
-from .grid import Executor, GridCache, GridCell, cell_runner, execute_plan
+from .grid import CellStore, Executor, GridCell, cell_runner, execute_plan
 from .reporting import mean_rows
 
 #: Protocols compared in Figs. 5 and 16.
@@ -184,7 +184,7 @@ def run_utility_rsrfd(
     figure: str = "utility_rsrfd",
     chunk_size: int | None = None,
     workers: int = 1,
-    cache: "GridCache | str | None" = None,
+    cache: "CellStore | str | None" = None,
     executor: "Executor | None" = None,
     grid_info: dict | None = None,
 ) -> list[dict]:

@@ -15,7 +15,6 @@ import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from ..core.composition import validate_epsilon
 from ..exceptions import InvalidParameterError
@@ -57,25 +56,34 @@ def acc_ss(epsilon: float, k: int, omega: int | None = None) -> float:
     return inclusion / omega
 
 
-def _acc_unary(p: float, q: float, k: int) -> float:
-    """Generic UE attack accuracy with keep/flip probabilities ``(p, q)``."""
-    accuracy = (1.0 - p) * (1.0 - q) ** (k - 1) / k
-    i = np.arange(1, k + 1)
-    accuracy += float(np.sum((p / i) * binom.pmf(i - 1, k - 1, q)))
-    return accuracy
+def unary_attack_accuracy(p: float, q: float, k: int) -> float:
+    """Expected attack accuracy of a UE protocol with keep/flip ``(p, q)``.
+
+    With the true bit kept with probability ``p`` and each of the ``k - 1``
+    other bits set with probability ``q``, the attacker guesses uniformly
+    among the set bits (or the whole domain when none is set):
+
+    ``(1-p) (1-q)^{k-1} / k + p * sum_j Bin(j; k-1, q) / (j + 1)``.
+
+    The identity ``C(n, j) / (j + 1) = C(n + 1, j + 1) / (n + 1)`` collapses
+    the binomial sum to ``(1 - (1-q)^k) / (k q)``, evaluated through
+    ``expm1``/``log1p`` so it stays accurate for small ``q``.
+    """
+    no_bit_set = (1.0 - p) * (1.0 - q) ** (k - 1) / k
+    return no_bit_set - p * math.expm1(k * math.log1p(-q)) / (k * q)
 
 
 def acc_sue(epsilon: float, k: int) -> float:
     """Expected attack accuracy of SUE (Basic One-time RAPPOR)."""
     epsilon, k = validate_epsilon(epsilon), _validate_k(k)
     half = math.exp(epsilon / 2.0)
-    return _acc_unary(half / (half + 1.0), 1.0 / (half + 1.0), k)
+    return unary_attack_accuracy(half / (half + 1.0), 1.0 / (half + 1.0), k)
 
 
 def acc_oue(epsilon: float, k: int) -> float:
     """Expected attack accuracy of OUE."""
     epsilon, k = validate_epsilon(epsilon), _validate_k(k)
-    return _acc_unary(0.5, 1.0 / (math.exp(epsilon) + 1.0), k)
+    return unary_attack_accuracy(0.5, 1.0 / (math.exp(epsilon) + 1.0), k)
 
 
 #: Mapping from protocol name to its analytical single-report attack accuracy.

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from ..core.frequencies import validate_probability_vector
 from ..core.rng import RngLike
 from ..exceptions import InvalidParameterError
+from .analysis import unary_attack_accuracy
 from .base import FrequencyOracle
 from .streaming import PackedBits, resolve_chunk_size
 
@@ -272,11 +272,7 @@ class UnaryEncoding(FrequencyOracle):
         * true bit set and ``i-1`` extra bits set: ``p * Bin(i-1; k-1, q)``
           with a uniform guess among the ``i`` set bits.
         """
-        k, p, q = self.k, self.p, self.q
-        accuracy = (1.0 - p) * (1.0 - q) ** (k - 1) / k
-        i = np.arange(1, k + 1)
-        accuracy += float(np.sum((p / i) * binom.pmf(i - 1, k - 1, q)))
-        return accuracy
+        return unary_attack_accuracy(self.p, self.q, self.k)
 
 
 class SUE(UnaryEncoding):

@@ -3,16 +3,18 @@
 import hashlib
 import json
 
+from pathlib import Path
+
+from repro.experiments import cellstore
 from repro.experiments.cellstore import SQLiteCellStore
-from repro.experiments.grid import GridCache
 
 
-def build_json_cache(directory: str) -> GridCache:
-    return GridCache(directory)  # REPRO401
+def build_bounded_cache(directory: str) -> SQLiteCellStore:
+    return SQLiteCellStore(Path(directory) / "cells.sqlite", max_entries=10)  # REPRO401
 
 
 def build_sqlite_store(path: str) -> SQLiteCellStore:
-    return SQLiteCellStore(path)  # REPRO401
+    return cellstore.SQLiteCellStore(path)  # REPRO401
 
 
 def config_hash(config: dict) -> str:

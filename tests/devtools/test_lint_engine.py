@@ -102,7 +102,7 @@ def test_cellparams_good_fixture_is_clean() -> None:
 
 def test_seam_bad_fixture() -> None:
     codes = fixture_codes("seam_bad.py")
-    assert codes.count("REPRO401") == 2  # GridCache(...) and SQLiteCellStore(...)
+    assert codes.count("REPRO401") == 2  # bare and module-qualified SQLiteCellStore(...)
     assert codes.count("REPRO402") == 1
     assert codes.count("REPRO501") == 1
     assert not set(codes) - {"REPRO401", "REPRO402", "REPRO501"}

@@ -1,10 +1,10 @@
-"""Executor-parity test suite (ISSUE 4, tentpole + satellite 1).
+"""Executor-parity test suite.
 
-For scaled-down Fig. 2 and Fig. 5 plans, the three executors — serial,
-process pool and sharded (including shards executed as *separate*
+For scaled-down Fig. 2 and Fig. 5 plans, the executors — serial, process
+pool, threads and sharded (including shards executed as *separate*
 invocations and merged in shuffled order) — must produce byte-identical
-rows; and resuming a half-completed sharded run must recompute only the
-missing cells.
+rows; and resuming a half-completed sharded run from the shard journal must
+recompute only the missing cells.
 """
 
 import json
@@ -28,13 +28,11 @@ from repro.experiments.reident_smp import plan_reidentification_smp
 from repro.experiments.sharding import (
     SHARD_DB_NAME,
     ShardedExecutor,
-    find_shard_artifacts,
     journal_artifacts,
-    load_shard_artifact,
     merge_artifacts,
     plan_fingerprint,
+    plan_workspace,
     run_shard,
-    shard_artifact_path,
     shard_positions,
     workspace_store,
     write_plan,
@@ -64,6 +62,12 @@ def _exec_flaky_cell(params, rng):
     if not os.path.exists(params["marker"]):
         raise RuntimeError("flaky cell failed")
     return [{"value": "recovered"}]
+
+
+def _journaled(cells, shards, directory) -> list:
+    """The per-shard artifacts of ``cells`` in ``directory``'s journal."""
+    with workspace_store(directory) as store:
+        return journal_artifacts(store, plan_fingerprint(cells), shards)
 
 
 def _echo_cells(count: int) -> list[GridCell]:
@@ -138,7 +142,7 @@ class TestExecutorParity:
         # each shard in its own invocation (the shard_worker code path) ...
         for shard_index in range(shards):
             run_shard(fig2_cells, shards, shard_index, tmp_path)
-        artifacts = find_shard_artifacts(tmp_path, shards)
+        artifacts = _journaled(fig2_cells, shards, tmp_path)
         assert len(artifacts) == shards
         # ... merged in shuffled order
         random.Random(shards).shuffle(artifacts)
@@ -151,7 +155,7 @@ class TestExecutorParity:
     ):
         for shard_index in range(shards):
             run_shard(fig5_cells, shards, shard_index, tmp_path)
-        artifacts = find_shard_artifacts(tmp_path, shards)
+        artifacts = _journaled(fig5_cells, shards, tmp_path)
         random.Random(shards).shuffle(artifacts)
         merged = merge_artifacts(fig5_cells, artifacts)
         assert _canonical(merged.rows) == _canonical(fig5_serial_rows)
@@ -161,10 +165,20 @@ class TestExecutorParity:
         assert _canonical(sharded.rows) == _canonical(fig2_serial_rows)
         assert sharded.computed == len(fig2_cells)
 
-    def test_fig2_subprocess_sharded_executor(self, fig2_cells, fig2_serial_rows):
-        """The real thing: one shard_worker subprocess per shard."""
-        sharded = run_grid(fig2_cells, executor=ShardedExecutor(2, launch="subprocess"))
+    def test_fig2_subprocess_sharded_executor(
+        self, fig2_cells, fig2_serial_rows, tmp_path
+    ):
+        """The real thing: one shard_worker subprocess per shard, both
+        journaling into the workspace's one database."""
+        sharded = run_grid(
+            fig2_cells,
+            executor=ShardedExecutor(2, launch="subprocess", directory=tmp_path),
+        )
         assert _canonical(sharded.rows) == _canonical(fig2_serial_rows)
+        workspace = plan_workspace(tmp_path, fig2_cells)
+        assert (workspace / SHARD_DB_NAME).exists()
+        assert [path.name for path in workspace.glob("*.json")] == ["plan.json"]
+        assert len(_journaled(fig2_cells, 2, workspace)[1]["entries"]) > 0
 
 
 class TestResume:
@@ -179,69 +193,24 @@ class TestResume:
         self, fig2_cells, fig2_serial_rows, tmp_path
     ):
         run_shard(fig2_cells, 2, 0, tmp_path)
-        # simulate an interruption: drop one completed cell from the artifact
-        path = shard_artifact_path(tmp_path, 2, 0)
-        artifact = json.loads(path.read_text())
-        dropped = artifact["entries"].pop()
-        path.write_text(json.dumps(artifact))
+        # simulate an interruption: drop one completed cell from the journal
+        dropped = _journaled(fig2_cells, 2, tmp_path)[0]["entries"][-1]
+        with workspace_store(tmp_path) as store:
+            with store._conn:
+                store._conn.execute(
+                    "DELETE FROM shard_journal WHERE config_hash = ?",
+                    (dropped["config_hash"],),
+                )
         resumed = run_shard(fig2_cells, 2, 0, tmp_path)
         assert resumed.computed == 1  # only the dropped cell
         assert resumed.resumed == resumed.cells - 1
         # the finished run still merges byte-identically
         run_shard(fig2_cells, 2, 1, tmp_path)
-        merged = merge_artifacts(fig2_cells, find_shard_artifacts(tmp_path, 2))
+        artifacts = _journaled(fig2_cells, 2, tmp_path)
+        merged = merge_artifacts(fig2_cells, artifacts)
         assert _canonical(merged.rows) == _canonical(fig2_serial_rows)
-        restored = load_shard_artifact(path)
-        hashes = {entry["config_hash"] for entry in restored["entries"]}
+        hashes = {entry["config_hash"] for entry in artifacts[0]["entries"]}
         assert dropped["config_hash"] in hashes
-
-    def test_killed_invocation_persists_completed_cells_incrementally(self, tmp_path):
-        """The partial artifact is rewritten per completed cell, so an
-        invocation dying mid-shard keeps its work; the re-invocation then
-        recomputes only the cell that never finished."""
-        marker = tmp_path / "marker"
-        cells = _echo_cells(3) + [
-            GridCell(
-                figure="f",
-                runner="_test_exec_flaky",
-                params={"marker": str(marker)},
-                master_seed=3,
-            )
-        ]
-        with pytest.raises(RuntimeError, match="flaky cell failed"):
-            run_shard(cells, 1, 0, tmp_path)
-        # the three echo cells completed before the crash and are journaled
-        artifact_path = shard_artifact_path(tmp_path, 1, 0)
-        journal = artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-        assert not artifact_path.exists()
-        assert len(journal.read_text().strip().splitlines()) == 3
-        marker.touch()
-        second = run_shard(cells, 1, 0, tmp_path)
-        assert second.resumed == 3
-        assert second.computed == 1
-        # the finished shard compacted the journal into the artifact
-        assert not journal.exists()
-        assert len(load_shard_artifact(artifact_path)["entries"]) == 4
-
-    def test_torn_journal_lines_do_not_poison_later_records(self, tmp_path):
-        """A crash mid-append leaves a torn, newline-less tail; the next
-        invocation must recover the valid records and keep its own
-        appends parseable."""
-        cells = _echo_cells(4)
-        run_shard(cells, 1, 0, tmp_path)
-        artifact_path = shard_artifact_path(tmp_path, 1, 0)
-        artifact = load_shard_artifact(artifact_path)
-        journal = artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-        with open(journal, "w", encoding="utf-8") as handle:
-            for entry in artifact["entries"][:2]:
-                handle.write(
-                    json.dumps({"plan_hash": artifact["plan_hash"], "entry": entry}) + "\n"
-                )
-            handle.write('{"plan_hash": "torn')  # crash mid-append, no newline
-        artifact_path.unlink()
-        resumed = run_shard(cells, 1, 0, tmp_path)
-        assert resumed.resumed == 2
-        assert resumed.computed == 2
 
     def test_bounded_cache_keeps_the_workspace(self, tmp_path):
         """A bounded cache may evict merged cells, so the per-plan workspace
@@ -275,7 +244,7 @@ class TestResume:
         assert _canonical(warm.rows) == _canonical(cold.rows)
 
     def test_shard_workers_share_the_cell_cache(self, tmp_path):
-        """cache_dir hands every shard worker the shared GridCache, so a
+        """cache_dir hands every shard worker the shared cell store, so a
         later non-sharded run is served from cache."""
         cells = _echo_cells(5)
         cache_dir = tmp_path / "cache"
@@ -370,22 +339,14 @@ class TestResume:
         assert warm.from_cache == 2 and warm.computed == 4
         assert _canonical(warm.rows) == _canonical(run_grid(cells).rows)
 
-    def test_no_resume_purges_stale_artifact_and_journal(self, tmp_path):
-        """resume=False must discard old state so a crash mid-recompute
-        cannot resurrect the rows the flag was meant to throw away."""
-        cells = _echo_cells(3)
-        run_shard(cells, 1, 0, tmp_path)
-        artifact_path = shard_artifact_path(tmp_path, 1, 0)
-        journal = artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-        journal.write_text("stale")
-        forced = run_shard(cells, 1, 0, tmp_path, resume=False)
-        assert forced.computed == 3 and forced.resumed == 0
-        assert not journal.exists()
-
-    def test_partial_artifact_of_other_plan_rejected(self, tmp_path):
-        run_shard(_echo_cells(4), 2, 0, tmp_path)
-        with pytest.raises(InvalidParameterError, match="different plan"):
-            run_shard(_echo_cells(5), 2, 0, tmp_path)
+    def test_plans_sharing_a_directory_journal_independently(self, tmp_path):
+        """The journal is keyed by plan fingerprint, so a different plan run
+        in the same directory neither resumes nor disturbs the first one."""
+        first = run_shard(_echo_cells(4), 2, 0, tmp_path)
+        other = run_shard(_echo_cells(5), 2, 0, tmp_path)
+        assert other.resumed == 0 and other.computed == other.cells
+        again = run_shard(_echo_cells(4), 2, 0, tmp_path)
+        assert again.resumed == first.cells and again.computed == 0
 
     def test_plan_file_of_other_plan_rejected(self, tmp_path):
         write_plan(tmp_path, _echo_cells(4), shards=2)
@@ -394,120 +355,25 @@ class TestResume:
             write_plan(tmp_path, _echo_cells(5), shards=2)
 
 
-class TestJournalKillSimulation:
-    """Kill-simulation coverage of the JSONL journal's torn-tail recovery:
-    a crashed invocation can leave a newline-less tail AND a corrupt
-    mid-file line, and the resuming invocation must recover every valid
-    record, heal the tail onto a fresh line, and keep its own appends
-    parseable."""
-
-    def _crashed_cells(self, marker):
-        return _echo_cells(4) + [
-            GridCell(
-                figure="f",
-                runner="_test_exec_flaky",
-                params={"marker": str(marker)},
-                master_seed=3,
-            )
-        ]
-
-    def test_corrupt_midfile_line_and_torn_tail_recover_and_heal(self, tmp_path):
-        marker = tmp_path / "marker"
-        cells = self._crashed_cells(marker)
-        with pytest.raises(RuntimeError, match="flaky cell failed"):
-            run_shard(cells, 1, 0, tmp_path)
-        artifact_path = shard_artifact_path(tmp_path, 1, 0)
-        journal = artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-        records = journal.read_text().strip().splitlines()
-        assert len(records) == 4
-
-        # simulate a messier crash: records 0-2 intact, a corrupt line in
-        # the middle, and record 3 torn mid-write with no trailing newline
-        journal.write_text(
-            records[0]
-            + "\n"
-            + '{"plan_hash": "corrupt-mid-file\n'
-            + records[1]
-            + "\n"
-            + records[2]
-            + "\n"
-            + records[3][: len(records[3]) // 2]  # torn tail, no newline
-        )
-
-        # second crashed invocation: resumes the 3 valid records, recomputes
-        # the torn one, journals it — and must first heal the torn tail
-        with pytest.raises(RuntimeError, match="flaky cell failed"):
-            run_shard(cells, 1, 0, tmp_path)
-        content = journal.read_text()
-        torn = records[3][: len(records[3]) // 2]
-        assert torn + "\n" in content  # the tail was healed onto its own line
-        parsed = []
-        for line in content.splitlines():
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        # 3 resumed records re-read, plus the recomputed 4th on a clean line
-        hashes = {record["entry"]["config_hash"] for record in parsed}
-        assert len(hashes) == 4
-
-        # the fixed invocation finishes from the healed journal alone
-        marker.touch()
-        final = run_shard(cells, 1, 0, tmp_path)
-        assert final.resumed == 4
-        assert final.computed == 1
-        assert not journal.exists()
-        assert len(load_shard_artifact(artifact_path)["entries"]) == 5
-
-    def test_resumed_entries_match_the_original_rows(self, tmp_path):
-        cells = _echo_cells(4)
-        first = run_shard(cells, 1, 0, tmp_path)
-        artifact_path = shard_artifact_path(tmp_path, 1, 0)
-        original = load_shard_artifact(artifact_path)
-        journal = artifact_path.with_name(artifact_path.name + ".journal.jsonl")
-        # rebuild the journal as a crash would have left it (torn tail) and
-        # drop the artifact: the journal is now the only resume state
-        with open(journal, "w", encoding="utf-8") as handle:
-            for entry in original["entries"]:
-                handle.write(
-                    json.dumps({"plan_hash": original["plan_hash"], "entry": entry})
-                    + "\n"
-                )
-            handle.write('{"plan_hash": "torn')
-        artifact_path.unlink()
-        resumed = run_shard(cells, 1, 0, tmp_path)
-        assert resumed.resumed == 4 and resumed.computed == 0
-        restored = load_shard_artifact(artifact_path)
-        assert _canonical(
-            [entry["rows"] for entry in restored["entries"]]
-        ) == _canonical([entry["rows"] for entry in original["entries"]])
-
-
-class TestSqliteBackend:
-    """The sqlite cell-store path of run_shard / ShardedExecutor: one
-    WAL-mode workspace database replaces per-shard artifact files and JSONL
-    journals, and resume state becomes a journal query."""
+class TestShardJournal:
+    """run_shard / ShardedExecutor journal into one WAL-mode workspace
+    database; resume state is a journal query."""
 
     def test_shards_journal_into_one_database(self, tmp_path):
         cells = _echo_cells(5)
         for shard_index in range(2):
-            result = run_shard(
-                cells, 2, shard_index, tmp_path, cache_backend="sqlite"
-            )
-            assert result.backend == "sqlite"
-        assert (tmp_path / SHARD_DB_NAME).exists()
-        assert find_shard_artifacts(tmp_path, 2) == []  # no artifact files
-        store = workspace_store(tmp_path)
-        artifacts = journal_artifacts(store, plan_fingerprint(cells), 2)
-        store.close()
-        merged = merge_artifacts(cells, artifacts, expected_shards=2)
+            result = run_shard(cells, 2, shard_index, tmp_path)
+            assert result.path == tmp_path / SHARD_DB_NAME
+        assert [path.name for path in tmp_path.iterdir()] == [SHARD_DB_NAME]
+        artifacts = _journaled(cells, 2, tmp_path)
+        merged = merge_artifacts(cells, artifacts)
         assert _canonical(merged.rows) == _canonical(run_grid(cells).rows)
 
     def test_rerun_resumes_from_the_journal(self, tmp_path):
         cells = _echo_cells(5)
-        first = run_shard(cells, 2, 0, tmp_path, cache_backend="sqlite")
+        first = run_shard(cells, 2, 0, tmp_path)
         assert first.computed == first.cells and first.resumed == 0
-        again = run_shard(cells, 2, 0, tmp_path, cache_backend="sqlite")
+        again = run_shard(cells, 2, 0, tmp_path)
         assert again.computed == 0
         assert again.resumed == first.cells
 
@@ -522,29 +388,29 @@ class TestSqliteBackend:
             )
         ]
         with pytest.raises(RuntimeError, match="flaky cell failed"):
-            run_shard(cells, 1, 0, tmp_path, cache_backend="sqlite")
+            run_shard(cells, 1, 0, tmp_path)
         store = workspace_store(tmp_path)
         journaled = store.journal_entries(plan_fingerprint(cells))
         store.close()
         assert len(journaled) == 3  # the echo cells committed per completion
         marker.touch()
-        second = run_shard(cells, 1, 0, tmp_path, cache_backend="sqlite")
+        second = run_shard(cells, 1, 0, tmp_path)
         assert second.resumed == 3
         assert second.computed == 1
 
     def test_no_resume_clears_only_this_shards_rows(self, tmp_path):
         cells = _echo_cells(6)
-        run_shard(cells, 2, 0, tmp_path, cache_backend="sqlite")
-        run_shard(cells, 2, 1, tmp_path, cache_backend="sqlite")
+        run_shard(cells, 2, 0, tmp_path)
+        run_shard(cells, 2, 1, tmp_path)
         forced = run_shard(
-            cells, 2, 0, tmp_path, cache_backend="sqlite", resume=False
+            cells, 2, 0, tmp_path, resume=False
         )
         assert forced.computed == forced.cells and forced.resumed == 0
         # shard 1's journal rows survived the forced recompute of shard 0
-        other = run_shard(cells, 2, 1, tmp_path, cache_backend="sqlite")
+        other = run_shard(cells, 2, 1, tmp_path)
         assert other.resumed == other.cells
 
-    def test_inline_sharded_executor_sqlite(self, tmp_path):
+    def test_inline_sharded_executor_with_cache(self, tmp_path):
         cells = _echo_cells(5)
         result = run_grid(
             cells,
@@ -553,51 +419,70 @@ class TestSqliteBackend:
                 launch="inline",
                 directory=tmp_path / "shards",
                 cache_dir=tmp_path / "cache",
-                cache_backend="sqlite",
             ),
         )
         assert _canonical(result.rows) == _canonical(run_grid(cells).rows)
-        # the shared sqlite cache serves a later non-sharded run
-        warm = run_grid(
-            cells,
-            cache=CellStore.from_options(tmp_path / "cache", cache_backend="sqlite"),
-        )
+        # the shared cell store serves a later non-sharded run
+        warm = run_grid(cells, cache=tmp_path / "cache")
         assert warm.from_cache == 5 and warm.computed == 0
 
+    def test_resumed_entries_match_the_original_rows(self, tmp_path):
+        cells = _echo_cells(4)
+        run_shard(cells, 1, 0, tmp_path)
+        (original,) = _journaled(cells, 1, tmp_path)
+        again = run_shard(cells, 1, 0, tmp_path)
+        assert again.resumed == 4 and again.computed == 0
+        (resumed,) = _journaled(cells, 1, tmp_path)
+        assert [entry["rows"] for entry in resumed["entries"]] == [
+            entry["rows"] for entry in original["entries"]
+        ]
+        assert {entry["source"] for entry in resumed["entries"]} == {"resumed"}
+        merged = merge_artifacts(cells, [resumed])
+        assert _canonical(merged.rows) == _canonical(run_grid(cells).rows)
+        assert merged.summary()["resumed"] == 4
 
-class TestBackendParity:
-    """json and sqlite cell stores must be an implementation detail: the
-    fig2-quick rows are byte-identical across backends for serial, pool-4
-    and 2-shard execution, cold and warm."""
+    def test_undecodable_journal_entry_is_recomputed(self, tmp_path):
+        cells = _echo_cells(4)
+        run_shard(cells, 1, 0, tmp_path)
+        with workspace_store(tmp_path) as store:
+            store._conn.execute(
+                "UPDATE shard_journal SET entry = '{torn' WHERE config_hash = ?",
+                (cells[2].config_hash,),
+            )
+            store._conn.commit()
+        again = run_shard(cells, 1, 0, tmp_path)
+        assert again.resumed == 3 and again.computed == 1
+        merged = merge_artifacts(cells, _journaled(cells, 1, tmp_path))
+        assert _canonical(merged.rows) == _canonical(run_grid(cells).rows)
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_fig2_serial_cold_and_warm(
-        self, backend, fig2_cells, fig2_serial_rows, tmp_path
-    ):
-        cache = CellStore.from_options(tmp_path / "cache", cache_backend=backend)
+
+class TestCachedParity:
+    """The cell store is an implementation detail: the fig2 rows are
+    byte-identical for serial, pool-4 and 2-shard execution, cold and warm."""
+
+    def test_fig2_serial_cold_and_warm(self, fig2_cells, fig2_serial_rows, tmp_path):
+        cache = CellStore.from_options(tmp_path / "cache")
         cold = run_grid(fig2_cells, executor=SerialExecutor(), cache=cache)
         warm = run_grid(fig2_cells, executor=SerialExecutor(), cache=cache)
         assert warm.from_cache == len(fig2_cells)
         assert _canonical(cold.rows) == _canonical(fig2_serial_rows)
         assert _canonical(warm.rows) == _canonical(fig2_serial_rows)
+        cache.close()
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_fig2_pool4(self, backend, fig2_cells, fig2_serial_rows, tmp_path):
-        cache = CellStore.from_options(tmp_path / "cache", cache_backend=backend)
+    def test_fig2_pool4(self, fig2_cells, fig2_serial_rows, tmp_path):
         pool = run_grid(
-            fig2_cells, executor=ProcessPoolExecutor(workers=4), cache=cache
+            fig2_cells, executor=ProcessPoolExecutor(workers=4), cache=tmp_path / "cache"
         )
         assert _canonical(pool.rows) == _canonical(fig2_serial_rows)
 
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
-    def test_fig2_two_shards(self, backend, fig2_cells, fig2_serial_rows, tmp_path):
+    def test_fig2_two_shards_with_cache(self, fig2_cells, fig2_serial_rows, tmp_path):
         sharded = run_grid(
             fig2_cells,
             executor=ShardedExecutor(
                 2,
                 launch="inline",
                 directory=tmp_path / "shards",
-                cache_backend=backend,
+                cache_dir=tmp_path / "cache",
             ),
         )
         assert _canonical(sharded.rows) == _canonical(fig2_serial_rows)

@@ -2,10 +2,11 @@
 
 Shard-count and merge-order invariance, duplicate-cell handling and the
 missing-cell report that names the absent configs rather than raising a
-bare ``KeyError``.
+bare ``KeyError``.  The artifacts are the per-shard mappings
+``journal_artifacts`` reads back from a workspace's shard journal.
 """
 
-import json
+import copy
 import random
 
 import pytest
@@ -15,12 +16,11 @@ from hypothesis import strategies as st
 from repro.exceptions import ShardMergeError
 from repro.experiments.grid import GridCell, cell_runner, run_grid
 from repro.experiments.sharding import (
-    find_shard_artifacts,
-    load_shard_artifact,
+    journal_artifacts,
     merge_artifacts,
     plan_fingerprint,
     run_shard,
-    shard_artifact_path,
+    workspace_store,
 )
 
 
@@ -33,7 +33,7 @@ def _merge_echo_cell(params, rng):
 def _merge_numpy_cell(params, rng):
     import numpy as np
 
-    # numpy scalars are legal runner output (GridCache coerces them too)
+    # numpy scalars are legal runner output (the cell store coerces them too)
     return [{"value": np.int64(params.get("value", 0)), "acc": np.float64(0.5)}]
 
 
@@ -44,10 +44,16 @@ def _cells(values) -> list[GridCell]:
     ]
 
 
+def _journaled(cells, shards, directory) -> list:
+    """The per-shard artifacts of ``cells`` in ``directory``'s journal."""
+    with workspace_store(directory) as store:
+        return journal_artifacts(store, plan_fingerprint(cells), shards)
+
+
 def _run_all_shards(cells, shards, directory) -> list:
     for shard_index in range(shards):
         run_shard(cells, shards, shard_index, directory)
-    return find_shard_artifacts(directory, shards)
+    return _journaled(cells, shards, directory)
 
 
 class TestMergeInvariance:
@@ -102,8 +108,8 @@ class TestMergeInvariance:
         assert summary["plan_hash"] == plan_fingerprint(cells)
 
     def test_numpy_scalar_rows_survive_the_sharded_path(self, tmp_path):
-        """Runners returning numpy scalars must serialize in partial
-        artifacts exactly like they do in the GridCache."""
+        """Runners returning numpy scalars must serialize in the shard
+        journal exactly like they do in the cell cache."""
         cells = [
             GridCell(figure="f", runner="_test_merge_numpy", params={"value": v})
             for v in range(3)
@@ -118,9 +124,7 @@ class TestMergeInvariance:
         run_grid(cells, cache=cache)  # warm every cell
         for shard_index in range(2):
             run_shard(cells, 2, shard_index, tmp_path / "shards", cache=cache)
-        summary = merge_artifacts(
-            cells, find_shard_artifacts(tmp_path / "shards", 2)
-        ).summary()
+        summary = merge_artifacts(cells, _journaled(cells, 2, tmp_path / "shards")).summary()
         assert summary["from_cache"] == 4
         assert summary["computed"] == 0
 
@@ -129,12 +133,9 @@ class TestDuplicateRejection:
     def test_conflicting_duplicate_cell_rejected(self, tmp_path):
         cells = _cells(range(4))
         artifacts = _run_all_shards(cells, 2, tmp_path)
-        # tamper with one shard's copy of a cell so the duplicate conflicts
-        path = shard_artifact_path(tmp_path, 2, 0)
-        artifact = json.loads(path.read_text())
-        artifact["entries"][0]["rows"] = [{"value": -999, "draw": 0}]
-        forged = shard_artifact_path(tmp_path, 2, 1).with_name("forged.json")
-        forged.write_text(json.dumps({**artifact, "shard_index": 0}))
+        # a second copy of shard 0 whose rows for one cell differ
+        forged = copy.deepcopy(artifacts[0])
+        forged["entries"][0]["rows"] = [{"value": -999, "draw": 0}]
         with pytest.raises(ShardMergeError, match="differing rows") as excinfo:
             merge_artifacts(cells, artifacts + [forged])
         assert excinfo.value.conflicting
@@ -145,9 +146,9 @@ class TestMissingCellReport:
     def test_missing_shard_names_absent_configs(self, tmp_path):
         cells = _cells(range(5))
         run_shard(cells, 2, 0, tmp_path)  # shard 1 never ran
-        artifacts = find_shard_artifacts(tmp_path, 2)
+        artifacts = _journaled(cells, 2, tmp_path)
         try:
-            merge_artifacts(cells, artifacts, expected_shards=2)
+            merge_artifacts(cells, artifacts)
         except ShardMergeError as exc:
             message = str(exc)
             assert "absent" in message
@@ -173,10 +174,40 @@ class TestMissingCellReport:
 
     def test_structurally_invalid_artifact_rejected(self, tmp_path):
         cells = _cells(range(2))
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"entries": []}))
-        with pytest.raises(ShardMergeError, match="lacks"):
-            merge_artifacts(cells, [bogus])
-        bogus.write_text("{not json")
-        with pytest.raises(ShardMergeError, match="cannot read"):
-            load_shard_artifact(bogus)
+        with pytest.raises(ShardMergeError, match="lacks the 'plan_hash'"):
+            merge_artifacts(cells, [{"entries": []}])
+        valid = _run_all_shards(cells, 1, tmp_path)[0]
+        with pytest.raises(ShardMergeError, match="lacks the 'entries'"):
+            merge_artifacts(cells, [{"plan_hash": valid["plan_hash"]}])
+        torn = copy.deepcopy(valid)
+        del torn["entries"][0]["rows"]
+        with pytest.raises(ShardMergeError, match="lacks 'config_hash' or 'rows'"):
+            merge_artifacts(cells, [torn])
+
+
+class TestJournalArtifacts:
+    def test_one_artifact_per_shard_even_when_empty(self, tmp_path):
+        cells = _cells(range(5))
+        run_shard(cells, 3, 1, tmp_path)  # shards 0 and 2 never ran
+        artifacts = _journaled(cells, 3, tmp_path)
+        assert [artifact["shard_index"] for artifact in artifacts] == [0, 1, 2]
+        assert [len(artifact["entries"]) for artifact in artifacts] == [0, 2, 0]
+        assert all(artifact["plan_hash"] == plan_fingerprint(cells) for artifact in artifacts)
+        assert artifacts[1]["path"].endswith("shards.sqlite#shard-1")
+
+    def test_entries_follow_completion_order_within_a_shard(self, tmp_path):
+        cells = _cells(range(6))
+        run_shard(cells, 2, 0, tmp_path)
+        (artifact,) = [a for a in _journaled(cells, 2, tmp_path) if a["entries"]]
+        hashes = [entry["config_hash"] for entry in artifact["entries"]]
+        assert hashes == [cells[position].config_hash for position in (0, 2, 4)]
+
+    def test_other_plans_in_the_journal_are_not_included(self, tmp_path):
+        cells = _cells(range(4))
+        others = _cells(range(10, 14))
+        run_shard(cells, 1, 0, tmp_path)
+        run_shard(others, 1, 0, tmp_path)
+        (artifact,) = _journaled(cells, 1, tmp_path)
+        assert {entry["config_hash"] for entry in artifact["entries"]} == {
+            cell.config_hash for cell in cells
+        }

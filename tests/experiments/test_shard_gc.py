@@ -1,4 +1,4 @@
-"""Shard-workspace garbage collection (ISSUE 5, satellite 3).
+"""Shard-workspace garbage collection.
 
 Interrupted cached ``--shards N`` runs can orphan per-pending-set workspaces
 under a persistent shard root.  The age-based sweep must remove only
@@ -52,10 +52,9 @@ class TestGcShardWorkspaces:
             tmp_path,
             "cccc2222",
             age_seconds=10 * HOUR,
-            files=("plan.json", "shard-0000-of-0002.json"),
+            files=("plan.json", "shards.sqlite"),
         )
-        journal = workspace / "shard-0001-of-0002.json.journal.jsonl"
-        journal.write_text('{"plan_hash": "x", "entry": {}}\n')  # fresh mtime
+        (workspace / "shards.sqlite-wal").write_bytes(b"wal")  # fresh mtime
         summary = gc_shard_workspaces(tmp_path, max_age_seconds=HOUR)
         assert summary["removed"] == []
         assert summary["kept"] == ["cccc2222"]
@@ -98,7 +97,7 @@ class TestCliGcShards:
         """CLI-level near-miss: stale plan, fresh journal — workspace kept."""
         root = tmp_path / "shards"
         workspace = _make_workspace(root, "cccc2222", age_seconds=10 * HOUR)
-        (workspace / "journal.jsonl").write_text("{}\n")  # concurrent owner
+        (workspace / "shards.sqlite").write_bytes(b"db")  # concurrent owner
         code = main(
             ["fig1", "--gc-shards", "--shard-dir", str(root), "--gc-max-age", "3600"]
         )

@@ -1,10 +1,16 @@
 """Tests for the analytical protocol analysis (Sec. 3.2.1, Eqs. 4-5)."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import InvalidParameterError
 from repro.protocols.analysis import (
     acc_grr,
@@ -16,7 +22,9 @@ from repro.protocols.analysis import (
     oracle_variance,
     profiling_accuracy_non_uniform,
     profiling_accuracy_uniform,
+    unary_attack_accuracy,
 )
+from repro.protocols.ue import OUE, SUE
 
 
 class TestSingleReportAccuracies:
@@ -59,6 +67,98 @@ class TestSingleReportAccuracies:
         high = min(acc_grr(eps, k), acc_ss(eps, k), acc_sue(eps, k))
         low = max(acc_olh(eps, k), acc_oue(eps, k))
         assert high > low
+
+
+def _ue_parameters():
+    """``(p, q, k)`` of SUE and OUE over domain sizes 2..500 and eps 0.1..10."""
+    for k in (2, 3, 4, 7, 16, 74, 128, 257, 500):
+        for eps in (0.1, 0.5, 1.0, 2.5, 5.0, 10.0):
+            half = math.exp(eps / 2.0)
+            yield half / (half + 1.0), 1.0 / (half + 1.0), k
+            yield 0.5, 1.0 / (math.exp(eps) + 1.0), k
+
+
+def _exact_unary_accuracy(p: float, q: float, k: int) -> Fraction:
+    """The UE accuracy sum in exact rational arithmetic (the oracle).
+
+    ``(1-p) (1-q)^{k-1} / k + p * sum_j C(k-1, j) q^j (1-q)^{k-1-j} / (j+1)``,
+    the sum taken term by term over one integer common denominator.
+    """
+    p, q = Fraction(p), Fraction(q)
+    n = k - 1
+    x, d = q.numerator, q.denominator  # q = x/d, 1 - q = (d - x)/d
+    lcm = math.lcm(*range(1, k + 1))
+    numerator = sum(
+        math.comb(n, j) * x**j * (d - x) ** (n - j) * (lcm // (j + 1)) for j in range(k)
+    )
+    return (1 - p) * (1 - q) ** n / k + p * Fraction(numerator, lcm * d**n)
+
+
+class TestUnaryAttackAccuracy:
+    """The closed form behind SUE/OUE (Fig. 1) against exact arithmetic."""
+
+    def test_matches_the_exact_binomial_sum(self):
+        for p, q, k in _ue_parameters():
+            exact = _exact_unary_accuracy(p, q, k)
+            assert unary_attack_accuracy(p, q, k) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_matches_the_scipy_binomial_sum(self):
+        binom = pytest.importorskip("scipy.stats").binom
+        for p, q, k in _ue_parameters():
+            i = np.arange(1, k + 1)
+            summed = (1.0 - p) * (1.0 - q) ** (k - 1) / k + float(
+                np.sum((p / i) * binom.pmf(i - 1, k - 1, q))
+            )
+            assert unary_attack_accuracy(p, q, k) == pytest.approx(summed, rel=1e-13)
+
+    def test_protocol_and_analysis_share_the_formula(self):
+        for eps in (0.5, 3.0):
+            assert SUE(k=9, epsilon=eps).expected_attack_accuracy() == acc_sue(eps, 9)
+            assert OUE(k=9, epsilon=eps).expected_attack_accuracy() == acc_oue(eps, 9)
+
+
+    def test_uninformative_bits_give_a_uniform_guess(self):
+        # p == q: a set bit says nothing about the true value
+        for k in (2, 5, 74):
+            for p in (0.1, 0.5, 0.9):
+                assert unary_attack_accuracy(p, p, k) == pytest.approx(1.0 / k, rel=1e-14)
+
+    def test_vanishing_flip_probability_limit(self):
+        # q -> 0: only the true bit can be set, so the attacker is right
+        # whenever it was kept and guesses uniformly otherwise
+        for k in (2, 16, 500):
+            for p in (0.5, 0.75):
+                limit = p + (1.0 - p) / k
+                assert unary_attack_accuracy(p, 1e-12, k) == pytest.approx(limit, rel=1e-9)
+
+    def test_single_value_domain_is_always_guessed(self):
+        for p, q in ((0.5, 0.2), (0.9, 0.05)):
+            assert unary_attack_accuracy(p, q, 1) == pytest.approx(1.0, rel=1e-15)
+
+    def test_bounded_and_increasing_in_epsilon(self):
+        epsilons = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
+        for k in (2, 16, 128):
+            for acc in (acc_sue, acc_oue):
+                values = [acc(eps, k) for eps in epsilons]
+                assert all(1.0 / k < value < 1.0 for value in values)
+                assert values == sorted(values)
+
+
+def test_runtime_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the package must not import it."""
+    probe = (
+        "import sys, repro, repro.experiments; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 class TestProfilingAccuracies:
