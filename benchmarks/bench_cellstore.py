@@ -1,17 +1,13 @@
 """Benchmark — the SQLite cell store at production grid sizes.
 
-The grid engine's persistence (cached cells, shard completion journals, the
-run ledger) lives in WAL-mode SQLite databases
-(:class:`repro.experiments.SQLiteCellStore`).  This benchmark times the
+The grid engine's persistence (cached cells and the run ledger) lives in
+one WAL-mode SQLite database (:class:`repro.experiments.SQLiteCellStore`).  This benchmark times the
 operations that dominate production-scale grids (1e4-1e5 entries) over
 synthetic cells:
 
 * **put** — persisting freshly computed cells;
 * **get** — reading cells back (each hit also refreshes the LRU clock with
   an indexed ``UPDATE``);
-* **journal append** — a shard journaling its completed cells;
-* **resume-scan** — recovering a shard's completed-cell set (one
-  ``shard_journal`` query);
 * **evict** — opening the filled store with ``max_entries = n/2`` and
   putting once, which forces half the entries out (one indexed ``DELETE``).
 
@@ -21,8 +17,8 @@ Run directly (this file is a script, not a pytest-benchmark module)::
 
 ``--quick`` uses 1e4 entries (the CI size), the default full run 1e5.  The
 timings are recorded output, not a gate; the script exits non-zero only when
-the store loses entries (a get misses, the resume scan is incomplete, or the
-eviction bound does not hold).
+the store loses entries (a get misses or the eviction bound does not
+hold).
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import time
 from pathlib import Path
 
 from repro.experiments import GridCell, SQLiteCellStore
-from repro.experiments.sharding import workspace_store
 
 
 def make_cells(n: int) -> list[GridCell]:
@@ -59,7 +54,7 @@ def timed(fn) -> "tuple[object, float]":
 
 
 def bench_store(cells: list[GridCell], root: Path) -> dict:
-    """Time put / get / journal append / resume-scan / evict."""
+    """Time put / get / evict."""
     n = len(cells)
     cache_dir = root / "cache"
 
@@ -69,19 +64,6 @@ def bench_store(cells: list[GridCell], root: Path) -> dict:
         )
         hits, get_s = timed(lambda: sum(store.get(cell) is not None for cell in cells))
     assert hits == n, f"{hits}/{n} gets hit"
-
-    # resume-scan: the state a re-invoked shard reads before computing.
-    fingerprint = "f" * 64
-    entries = [
-        {"config_hash": cell.config_hash, "rows": rows_for(i), "elapsed": 0.0}
-        for i, cell in enumerate(cells)
-    ]
-    with workspace_store(root / "shards") as journal:
-        _, append_s = timed(
-            lambda: [journal.journal_append(fingerprint, 0, e) for e in entries]
-        )
-        recovered, scan_s = timed(lambda: journal.journal_entries(fingerprint))
-    assert len(recovered) == n, f"resume-scan recovered {len(recovered)}/{n}"
 
     # eviction: reopen bounded at n/2 and put once -> half the store must go
     with SQLiteCellStore.for_directory(cache_dir, max_entries=n // 2) as bounded:
@@ -94,8 +76,6 @@ def bench_store(cells: list[GridCell], root: Path) -> dict:
         "entries": n,
         "put_seconds": put_s,
         "get_seconds": get_s,
-        "journal_append_seconds": append_s,
-        "resume_scan_seconds": scan_s,
         "evict_seconds": evict_s,
         "remaining_after_eviction": remaining,
     }

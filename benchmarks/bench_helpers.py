@@ -30,19 +30,11 @@ def grid_kwargs() -> dict:
     ``REPRO_BENCH_CACHE`` points at an on-disk cell-cache directory (unset =
     no caching, every benchmark run recomputes its cells).
 
-    ``REPRO_BENCH_SHARDS`` (> 1) routes each figure through the sharded
-    executor instead — one subprocess shard worker per shard, each running
-    ``REPRO_BENCH_WORKERS`` pool workers — with the shard journal under
-    ``REPRO_BENCH_SHARD_DIR`` (a persistent directory makes interrupted
-    benchmark sweeps resumable; unset uses a temporary directory).  Rows are
-    byte-identical to the in-process paths.
-
     ``REPRO_BENCH_REMOTE_WORKERS`` (> 0) routes each figure through the
     lease-based remote executor instead — a local HTTP coordinator plus
-    that many worker subprocesses (``REPRO_BENCH_SHARDS`` takes precedence
-    when both are set).  Rows are byte-identical to the in-process paths;
-    ``REPRO_CHAOS`` fault-injection directives apply to the workers as
-    usual, so recovery costs can be benchmarked too.
+    that many worker subprocesses.  Rows are byte-identical to the
+    in-process paths; ``REPRO_CHAOS`` fault-injection directives apply to
+    the workers as usual, so recovery costs can be benchmarked too.
 
     ``REPRO_BENCH_KERNEL_BACKEND`` (``numpy``, ``numba`` or ``auto``)
     selects the process-wide :mod:`repro.kernels` backend before the
@@ -61,18 +53,8 @@ def grid_kwargs() -> dict:
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     if cache_dir:
         kwargs["cache"] = cache_dir
-    shards = int(os.environ.get("REPRO_BENCH_SHARDS", "0"))
     remote_workers = int(os.environ.get("REPRO_BENCH_REMOTE_WORKERS", "0"))
-    if shards > 1:
-        from repro.experiments.sharding import ShardedExecutor
-
-        kwargs["executor"] = ShardedExecutor(
-            shards,
-            workers=max(workers, 1),
-            directory=os.environ.get("REPRO_BENCH_SHARD_DIR"),
-            cache_dir=cache_dir or None,
-        )
-    elif remote_workers > 0:
+    if remote_workers > 0:
         from repro.experiments.remote import RemoteExecutor
 
         kwargs["executor"] = RemoteExecutor(workers=remote_workers)

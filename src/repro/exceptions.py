@@ -50,34 +50,7 @@ class GridExecutionError(ReproError, RuntimeError):
     """A grid executor finished without a result for every pending cell.
 
     Raised by :func:`repro.experiments.grid.run_grid` when the configured
-    executor returns without recording rows for some cells (e.g. a shard
-    worker process died), and by the sharded executor when a worker
-    invocation exits non-zero.
+    executor returns without recording rows for some cells, and by the
+    remote executor when a cell exhausts its retries or every local worker
+    exits with cells remaining.
     """
-
-
-class ShardMergeError(ReproError, RuntimeError):
-    """Per-shard partial artifacts cannot be merged into a figure artifact.
-
-    Carries structured detail so callers can report precisely *which* cells
-    are affected instead of truncating silently:
-
-    Attributes
-    ----------
-    missing:
-        Cell descriptors (``runner`` plus canonical parameter JSON) of the
-        planned cells absent from every supplied partial artifact.
-    conflicting:
-        Descriptors of cells that appear in several partial artifacts with
-        differing rows.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        missing: "tuple | list" = (),
-        conflicting: "tuple | list" = (),
-    ) -> None:
-        super().__init__(message)
-        self.missing = list(missing)
-        self.conflicting = list(conflicting)

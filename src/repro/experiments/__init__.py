@@ -73,20 +73,6 @@ from .reident_smp import (
 )
 from .reporting import format_table, mean_rows, pivot_series, save_artifact
 from .runner import FigureSpec, available_experiments, figure_spec, main, run_experiment
-from .sharding import (
-    SHARD_DB_NAME,
-    MergedShards,
-    ShardedExecutor,
-    ShardRunResult,
-    journal_artifacts,
-    load_plan,
-    merge_artifacts,
-    plan_fingerprint,
-    run_shard,
-    shard_positions,
-    workspace_store,
-    write_plan,
-)
 from .utility_rsrfd import (
     UTILITY_PROTOCOLS,
     plan_utility_rsrfd,
@@ -115,12 +101,11 @@ __all__ = [
     "registered_cell_runners",
     "run_grid",
     "execute_plan",
-    # executors and sharding
+    # executors
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
     "ThreadedExecutor",
-    "ShardedExecutor",
     "RemoteExecutor",
     "LeaseTable",
     "CoordinatorClient",
@@ -130,17 +115,6 @@ __all__ = [
     "CHAOS_ENV",
     "WORKER_INDEX_ENV",
     "resolve_executor",
-    "MergedShards",
-    "ShardRunResult",
-    "plan_fingerprint",
-    "shard_positions",
-    "write_plan",
-    "load_plan",
-    "run_shard",
-    "merge_artifacts",
-    "journal_artifacts",
-    "workspace_store",
-    "SHARD_DB_NAME",
     "register_classifier_factory",
     "resolve_classifier_factory",
     "classifier_name",

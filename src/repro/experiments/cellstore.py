@@ -1,19 +1,15 @@
-"""WAL-mode SQLite cell store: cache entries, shard journals, run ledger.
+"""WAL-mode SQLite cell store: cache entries and run ledger.
 
-The grid engine's only persistent state lives in **one SQLite database**
-per store (``<cache-dir>/cells.sqlite`` for the cell cache,
-``<workspace>/shards.sqlite`` for a shard workspace's journal), with three
-tables:
+The grid engine's only persistent state lives in **one SQLite database**,
+``<cache-dir>/cells.sqlite``, with two tables:
 
 * ``cells`` — the completed-cell memo (``config_hash`` primary key, rows as
   canonical JSON, ``last_used_at`` refreshed on every hit so eviction is a
-  single indexed least-recently-used delete);
-* ``shard_journal`` — per-plan completion journals: concurrent shard
-  invocations append to the same database (WAL + ``busy_timeout`` make the
-  tiny per-cell transactions safe) and resume state is one query,
-  ``SELECT ... FROM shard_journal WHERE fingerprint = ?``;
-* ``runs`` — a ledger of every ``run_grid`` / ``run_shard`` invocation with
-  its JSON execution summary, so a long sweep's history is queryable.
+  single indexed least-recently-used delete).  Cells are stored as they
+  complete, so rerunning an interrupted figure on the same store resumes
+  it: only the missing cells are computed;
+* ``runs`` — a ledger of every CLI figure run with its JSON execution
+  summary, so a long sweep's history is queryable.
 
 The database is opened with ``journal_mode=WAL`` (readers never block the
 writer), ``synchronous=NORMAL`` and a short per-attempt ``busy_timeout``;
@@ -42,7 +38,7 @@ import sqlite3
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from ..core.retry import RetryPolicy, retry_call
 from ..exceptions import InvalidParameterError
@@ -129,6 +125,11 @@ _MIGRATIONS: tuple[str, ...] = (
     CREATE INDEX idx_cells_last_used ON cells (last_used_at);
     CREATE INDEX idx_journal_fingerprint ON shard_journal (fingerprint, shard_index);
     """,
+    # 3: sharded execution and its journal are gone
+    """
+    DROP INDEX IF EXISTS idx_journal_fingerprint;
+    DROP TABLE IF EXISTS shard_journal;
+    """,
 )
 
 #: Schema version a freshly created database ends up at.
@@ -146,7 +147,7 @@ def _compact_json(value: Any) -> str:
 
 
 class SQLiteCellStore(CellStore):
-    """One WAL-mode SQLite database holding cells, shard journals and runs.
+    """One WAL-mode SQLite database holding cells and the run ledger.
 
     Parameters
     ----------
@@ -166,8 +167,8 @@ class SQLiteCellStore(CellStore):
         Backoff between write attempts on a locked database (defaults to
         :data:`DEFAULT_WRITE_RETRY_POLICY`).  When the schedule is
         exhausted the write degrades to the usual warned miss instead of
-        raising — concurrent shard invocations sharing one journal
-        database never abort each other.
+        raising — concurrent runs sharing one cache directory never abort
+        each other.
 
     Error contract: construction fails fast with
     :class:`~repro.exceptions.InvalidParameterError` on an unusable path,
@@ -247,8 +248,8 @@ class SQLiteCellStore(CellStore):
 
         One transaction per migration: a crash mid-upgrade leaves the
         database at the previous consistent version, not in between.  The
-        version is re-read under the write lock because several shard
-        workers may open a fresh journal database at the same moment.
+        version is re-read under the write lock because several processes
+        may open a fresh database at the same moment.
         """
         self._conn.execute("BEGIN IMMEDIATE")
         try:
@@ -449,14 +450,11 @@ class SQLiteCellStore(CellStore):
             entries, total = self._conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(size_bytes), 0) FROM cells"
             ).fetchone()
-            journal = self._conn.execute(
-                "SELECT COUNT(*) FROM shard_journal"
-            ).fetchone()[0]
             runs = self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
             version = self.schema_version()
         except sqlite3.Error as exc:
             self._warn_io("stats", exc)
-            entries = total = journal = runs = version = 0
+            entries = total = runs = version = 0
         return {
             "directory": str(self.directory),
             "path": str(self.path),
@@ -465,7 +463,6 @@ class SQLiteCellStore(CellStore):
             "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
             "evicted": self._evicted,
-            "journal_entries": int(journal),
             "runs": int(runs),
             "schema_version": int(version),
         }
@@ -475,108 +472,6 @@ class SQLiteCellStore(CellStore):
             return int(self._conn.execute("SELECT COUNT(*) FROM cells").fetchone()[0])
         except sqlite3.Error as exc:
             self._warn_io("read", exc)
-            return 0
-
-    # ------------------------------------------------------------------ #
-    # the shard_journal table
-    # ------------------------------------------------------------------ #
-    def journal_append(
-        self, fingerprint: str, shard_index: int, entry: Mapping[str, Any]
-    ) -> bool:
-        """Record one completed cell of a plan's shard (idempotent upsert).
-
-        The per-cell transaction is what makes *concurrent* shard
-        invocations safe: WAL mode plus the short ``busy_timeout`` and the
-        bounded write-retry schedule serialize the tiny writes without any
-        merge step afterwards.
-        """
-        try:
-            record = _compact_json(_jsonable(dict(entry)))
-            config_hash = str(entry["config_hash"])
-
-            def append() -> None:
-                with self._conn:
-                    self._conn.execute(
-                        """
-                        INSERT INTO shard_journal
-                            (fingerprint, shard_index, config_hash, entry, created_at)
-                        VALUES (?, ?, ?, ?, ?)
-                        ON CONFLICT(fingerprint, config_hash) DO UPDATE SET
-                            shard_index = excluded.shard_index,
-                            entry = excluded.entry
-                        """,
-                        (
-                            str(fingerprint),
-                            int(shard_index),
-                            config_hash,
-                            record,
-                            time.time(),
-                        ),
-                    )
-
-            self._retry_write("journal append", append)
-            return True
-        except (sqlite3.Error, KeyError) as exc:
-            self._warn_io("journal append", exc)
-            return False
-
-    def journal_records(self, fingerprint: str) -> Iterator[tuple[int, dict[str, Any]]]:
-        """``(shard_index, entry)`` of every journaled cell of a plan.
-
-        Undecodable entries are skipped; storage failures degrade to an
-        empty iteration with the usual warning.
-        """
-        try:
-            rows = self._conn.execute(
-                "SELECT shard_index, entry FROM shard_journal "
-                "WHERE fingerprint = ? ORDER BY rowid",
-                (str(fingerprint),),
-            ).fetchall()
-        except sqlite3.Error as exc:
-            self._warn_io("journal read", exc)
-            return
-        for row in rows:
-            try:
-                entry = json.loads(row["entry"])
-            except (json.JSONDecodeError, TypeError):
-                continue
-            if isinstance(entry, dict) and "config_hash" in entry:
-                yield int(row["shard_index"]), entry
-
-    def journal_entries(self, fingerprint: str) -> dict[str, dict[str, Any]]:
-        """Resume state of a plan: ``{config_hash: entry}`` for every shard.
-
-        One indexed lookup on the plan fingerprint.
-        """
-        return {
-            str(entry["config_hash"]): entry
-            for _, entry in self.journal_records(fingerprint)
-        }
-
-    def journal_clear(
-        self, fingerprint: str, shard_index: int | None = None
-    ) -> int:
-        """Drop a plan's journal (optionally only one shard's rows)."""
-
-        def clear() -> int:
-            with self._conn:
-                if shard_index is None:
-                    cursor = self._conn.execute(
-                        "DELETE FROM shard_journal WHERE fingerprint = ?",
-                        (str(fingerprint),),
-                    )
-                else:
-                    cursor = self._conn.execute(
-                        "DELETE FROM shard_journal "
-                        "WHERE fingerprint = ? AND shard_index = ?",
-                        (str(fingerprint), int(shard_index)),
-                    )
-            return int(cursor.rowcount)
-
-        try:
-            return self._retry_write("journal clear", clear)
-        except sqlite3.Error as exc:
-            self._warn_io("journal clear", exc)
             return 0
 
     # ------------------------------------------------------------------ #
@@ -592,10 +487,9 @@ class SQLiteCellStore(CellStore):
     ) -> int | None:
         """Append one invocation to the run ledger; returns its ``run_id``.
 
-        ``kind`` names the entry point (``"run_grid"``, ``"run_shard"``,
-        ``"merge_shards"``, ...); ``summary`` is any JSON-able execution
-        summary.  Failures degrade to ``None`` — the ledger is bookkeeping,
-        never a reason to fail a finished run.
+        ``kind`` names the entry point (``"run_grid"``, ...); ``summary``
+        is any JSON-able execution summary.  Failures degrade to ``None`` —
+        the ledger is bookkeeping, never a reason to fail a finished run.
         """
         now = time.time()
 

@@ -6,17 +6,19 @@ figure is expressed as a list of independent :class:`GridCell`\\ s and handed
 to :func:`run_grid`, which
 
 * fans the cells out across a pluggable :class:`Executor`
-  (:class:`SerialExecutor`, :class:`ProcessPoolExecutor`, or the
-  subprocess-launchable :class:`repro.experiments.sharding.ShardedExecutor`;
-  ``workers > 1`` selects the process pool),
+  (:class:`SerialExecutor`, :class:`ProcessPoolExecutor`,
+  :class:`ThreadedExecutor`, or the lease-based
+  :class:`repro.experiments.remote.RemoteExecutor`; ``workers > 1`` selects
+  the process pool),
 * derives every cell's random stream deterministically from a single master
   seed and the cell's configuration (see
   :func:`repro.core.rng.derive_rng`), so results are bit-identical for any
   worker count and scheduling order,
 * memoizes completed cells in an on-disk SQLite store keyed by a content
   hash of the cell configuration (:class:`CellStore`, implemented by
-  :class:`repro.experiments.cellstore.SQLiteCellStore`), so re-running a
-  figure — or another figure sharing cells — skips completed work, and
+  :class:`repro.experiments.cellstore.SQLiteCellStore`) as each cell
+  completes, so re-running a figure — after an interruption, or another
+  figure sharing cells — skips completed work, and
 * deduplicates identical cells within a single run even without a cache.
 
 Cell *runners* are plain top-level functions registered by name with the
@@ -167,28 +169,6 @@ class GridCell:
         """The cell's deterministic random stream."""
         return derive_rng(self.master_seed, "grid-cell", self.key)
 
-    def payload(self) -> dict[str, Any]:
-        """JSON-serializable description of the cell (plan files, workers)."""
-        return {
-            "figure": self.figure,
-            "runner": self.runner,
-            "params": _jsonable(self.params),
-            "master_seed": int(self.master_seed),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "GridCell":
-        """Reconstruct a cell from :meth:`payload` output (e.g. a plan file)."""
-        try:
-            return cls(
-                figure=str(payload["figure"]),
-                runner=str(payload["runner"]),
-                params=dict(payload["params"]),
-                master_seed=int(payload["master_seed"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParameterError(f"malformed grid-cell payload: {exc}") from exc
-
 
 # --------------------------------------------------------------------------- #
 # cell-store seam
@@ -199,12 +179,12 @@ class CellStore(abc.ABC):
     :func:`run_grid` (and everything above it) only relies on this
     interface.  The one implementation is
     :class:`repro.experiments.cellstore.SQLiteCellStore`, which keeps every
-    entry — plus shard completion journals and a run ledger — in one
-    WAL-mode SQLite database.  Implementations must degrade I/O failures to
-    a once-warned cache miss rather than aborting a grid run.
+    entry — plus a run ledger — in one WAL-mode SQLite database.
+    Implementations must degrade I/O failures to a once-warned cache miss
+    rather than aborting a grid run.
     """
 
-    #: Directory the store lives in (shared-storage identity checks).
+    #: Directory the store lives in.
     directory: Path
     max_entries: int | None = None
     max_bytes: int | None = None
@@ -223,9 +203,6 @@ class CellStore(abc.ABC):
     def stats(self) -> dict[str, Any]:
         """Current occupancy and configured bounds."""
 
-    def _enforce_bounds(self, protect: Any = None) -> None:
-        """Re-check the size bounds after out-of-band writes (no-op default)."""
-
     def close(self) -> None:
         """Release the store's resources (no-op default)."""
 
@@ -239,10 +216,7 @@ class CellStore(abc.ABC):
         """Build a cell store from optional CLI-style options (``None`` → no cache).
 
         The one place the ``(directory, max_entries, max_bytes)`` wiring
-        lives; the runner, the shard worker and the sharded executor all
-        construct their caches through it so a future option cannot silently
-        diverge between the parent and its workers.  The cells live in
-        ``<directory>/cells.sqlite``.
+        lives.  The cells live in ``<directory>/cells.sqlite``.
         """
         if directory is None:
             return None
@@ -278,7 +252,7 @@ class CellOutcome:
     cell: GridCell
     rows: list[dict[str, Any]]
     elapsed: float
-    source: str  # "computed" | "cache" | "dedup" | "resumed"
+    source: str  # "computed" | "cache" | "dedup"
 
     @property
     def cached(self) -> bool:
@@ -312,11 +286,6 @@ class GridResult:
     def deduplicated(self) -> int:
         return sum(1 for outcome in self.outcomes if outcome.source == "dedup")
 
-    @property
-    def resumed(self) -> int:
-        """Cells restored from a prior interrupted run's shard journal."""
-        return sum(1 for outcome in self.outcomes if outcome.source == "resumed")
-
     def summary(self) -> dict[str, Any]:
         """JSON-serializable execution summary (for figure artifacts)."""
         return {
@@ -324,7 +293,6 @@ class GridResult:
             "computed": self.computed,
             "from_cache": self.from_cache,
             "deduplicated": self.deduplicated,
-            "resumed": self.resumed,
             "missing": 0,  # run_grid raises instead of returning partial grids
             "workers": self.workers,
             "executor": self.executor,
@@ -363,8 +331,8 @@ def _cell_payload(cell: GridCell) -> tuple[str, dict[str, Any], int, str]:
 # --------------------------------------------------------------------------- #
 # executors
 # --------------------------------------------------------------------------- #
-#: ``record(index, rows, elapsed, source)`` callback handed to executors.
-RecordFn = Callable[[int, "list[dict[str, Any]]", float, str], None]
+#: ``record(index, rows, elapsed)`` callback handed to executors.
+RecordFn = Callable[[int, "list[dict[str, Any]]", float], None]
 
 
 class Executor(abc.ABC):
@@ -374,11 +342,10 @@ class Executor(abc.ABC):
     and row assembly; the executor only decides *where and how* the remaining
     cells run.  ``execute`` receives ``(index, cell)`` tasks — guaranteed to
     have pairwise-distinct config hashes — and must call ``record`` exactly
-    once per task with the cell's rows, compute time and a source tag
-    (``"computed"``, or ``"resumed"`` for cells restored from a prior
-    interrupted run).  Because every cell derives its random stream from the
-    master seed and its own key alone, any executor that faithfully runs the
-    registered cell runner produces byte-identical rows.
+    once per task with the cell's rows and compute time.  Because every cell
+    derives its random stream from the master seed and its own key alone,
+    any executor that faithfully runs the registered cell runner produces
+    byte-identical rows.
     """
 
     #: Parallelism degree reported in execution summaries.
@@ -395,18 +362,21 @@ class SerialExecutor(Executor):
     def execute(self, tasks: Sequence[tuple[int, GridCell]], record: RecordFn) -> None:
         for index, cell in tasks:
             rows, elapsed = _execute_payload(_cell_payload(cell))
-            record(index, rows, elapsed, "computed")
+            record(index, rows, elapsed)
 
 
-class ProcessPoolExecutor(Executor):
-    """Fan cells out across a ``multiprocessing`` pool (the former
-    ``run_grid(workers=N)`` path, extracted behind the executor seam).
+class _PoolExecutor(Executor):
+    """Fan cells out across a ``concurrent.futures`` pool of ``workers``.
 
-    Falls back to in-process execution when the pool cannot help (one worker
-    or at most one task).  On a failing cell the pool keeps draining so every
-    surviving cell is still recorded (and therefore cached) before the first
-    error propagates.
+    Subclasses only choose the pool class.  Falls back to in-process
+    execution when the pool cannot help (one worker or at most one task).
+    ``record`` is only ever invoked from the calling thread, in completion
+    order.  On a failing cell the pool keeps draining so every surviving
+    cell is still recorded (and therefore cached) before the first error
+    propagates.
     """
+
+    _pool_class: "type[concurrent.futures.Executor]"
 
     def __init__(self, workers: int = 2) -> None:
         if int(workers) < 1:
@@ -418,9 +388,7 @@ class ProcessPoolExecutor(Executor):
         if self.workers == 1 or len(tasks) <= 1:
             SerialExecutor().execute(tasks, record)
             return
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
+        with self._pool_class(max_workers=min(self.workers, len(tasks))) as pool:
             futures = {
                 pool.submit(_execute_payload, _cell_payload(cell)): index
                 for index, cell in tasks
@@ -434,12 +402,19 @@ class ProcessPoolExecutor(Executor):
                     if first_error is None:
                         first_error = exc
                     continue
-                record(futures[future], rows, elapsed, "computed")
+                record(futures[future], rows, elapsed)
             if first_error is not None:
                 raise first_error
 
 
-class ThreadedExecutor(Executor):
+class ProcessPoolExecutor(_PoolExecutor):
+    """Fan cells out across a ``multiprocessing`` pool: one-host parallelism
+    (``run_grid(workers=N)``, ``--workers N``)."""
+
+    _pool_class = concurrent.futures.ProcessPoolExecutor
+
+
+class ThreadedExecutor(_PoolExecutor):
     """Fan cells out across an in-process thread pool.
 
     Profitable when the hot kernels release the GIL — the numba backend of
@@ -448,42 +423,10 @@ class ThreadedExecutor(Executor):
     params and result rows stay in one address space.  Pure-NumPy cells
     also overlap wherever NumPy drops the GIL, just less completely.  Rows
     are byte-identical to :class:`SerialExecutor` because every cell
-    derives its RNG from the master seed and its own key alone; ``record``
-    is only ever invoked from the calling thread, so the callback needs no
-    locking.  Like the process pool it keeps draining after a failing cell
-    so surviving cells are still recorded before the first error
-    propagates.
+    derives its RNG from the master seed and its own key alone.
     """
 
-    def __init__(self, workers: int = 2) -> None:
-        if int(workers) < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-
-    def execute(self, tasks: Sequence[tuple[int, GridCell]], record: RecordFn) -> None:
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            SerialExecutor().execute(tasks, record)
-            return
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, len(tasks))
-        ) as pool:
-            futures = {
-                pool.submit(_execute_payload, _cell_payload(cell)): index
-                for index, cell in tasks
-            }
-            first_error: BaseException | None = None
-            for future in concurrent.futures.as_completed(futures):
-                try:
-                    rows, elapsed = future.result()
-                except BaseException as exc:
-                    # keep draining so the surviving cells still hit the cache
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                record(futures[future], rows, elapsed, "computed")
-            if first_error is not None:
-                raise first_error
+    _pool_class = concurrent.futures.ThreadPoolExecutor
 
 
 def resolve_executor(executor: "Executor | None", workers: int = 1) -> Executor:
@@ -526,13 +469,11 @@ def run_grid(
         cells and persisting fresh ones.
     executor:
         Optional :class:`Executor` deciding where the pending cells run
-        (serial, process pool, sharded subprocess workers, ...).  All
-        executors produce byte-identical rows.
+        (serial, process pool, thread pool, remote workers).  All executors
+        produce byte-identical rows.
     on_cell_complete:
         Optional observer invoked (in the parent process) with each
-        :class:`CellOutcome` the executor records, in completion order —
-        the hook shard workers use to journal completed cells
-        incrementally.
+        :class:`CellOutcome` the executor records, in completion order.
     """
     executor = resolve_executor(executor, workers)
     store = ensure_cache(cache)
@@ -583,48 +524,20 @@ def _run_cells(
             to_compute.append(index)
 
     # 3. hand the remaining cells to the executor; each cell is persisted to
-    # the cache as it is recorded (per completion for the in-process
-    # executors; shard workers additionally journal their own completions
-    # and can be handed the cache directly, so interrupted runs keep their
-    # completed work on every path).  When the executor already writes
-    # through the same unbounded cache directory, the parent-side put would
-    # only duplicate the I/O — skip it (a *bounded* cache still puts, since
-    # eviction accounting lives with the bounds).
-    executor_cache = getattr(executor, "cache_dir", None)
-    shares_cache_dir = (
-        cache is not None
-        and executor_cache is not None
-        and Path(executor_cache).resolve() == cache.directory.resolve()
-    )
-    redundant_put = (
-        shares_cache_dir and cache.max_entries is None and cache.max_bytes is None
-    )
-
-    def record(
-        index: int,
-        cell_rows: list[dict[str, Any]],
-        elapsed: float,
-        source: str = "computed",
-    ) -> None:
+    # the cache as it is recorded, so an interrupted run keeps its completed
+    # work and a rerun computes only the missing cells
+    def record(index: int, cell_rows: list[dict[str, Any]], elapsed: float) -> None:
         outcome = CellOutcome(
-            cell=cells[index], rows=list(cell_rows), elapsed=float(elapsed), source=source
+            cell=cells[index], rows=list(cell_rows), elapsed=float(elapsed), source="computed"
         )
         outcomes[index] = outcome
-        # the redundant-put shortcut only applies to cells the workers wrote
-        # through (computed) or found in (cache) the shared directory this
-        # run; cells resumed from a shard journal may predate the cache
-        if cache is not None and not (redundant_put and source in ("computed", "cache")):
+        if cache is not None:
             cache.put(cells[index], cell_rows, elapsed)
         if on_cell_complete is not None:
             on_cell_complete(outcome)
 
     if to_compute:
         executor.execute([(index, cells[index]) for index in to_compute], record)
-        if shares_cache_dir and not redundant_put:
-            # shard workers wrote through the cache out-of-band of this
-            # instance's occupancy estimate; rescan so the bounds hold over
-            # their entries too
-            cache._enforce_bounds()
 
     unrecorded = [index for index in to_compute if outcomes[index] is None]
     if unrecorded:
@@ -656,9 +569,7 @@ def _run_cells(
         rows=rows,
         outcomes=completed,
         elapsed=time.perf_counter() - start,
-        # total_workers lets composite executors (sharded) report their full
-        # configured parallelism, not just the per-shard pool size
-        workers=getattr(executor, "total_workers", getattr(executor, "workers", 1)),
+        workers=executor.workers,
         executor=type(executor).__name__,
     )
 
@@ -677,8 +588,7 @@ def execute_plan(
     The shared tail of every ``run_*`` experiment function: execute the
     cells, surface the engine summary through ``grid_info`` (updated in
     place) and apply the figure's row aggregation.  ``postprocess`` must be a
-    pure function of the raw rows, so sharded invocations can merge partial
-    artifacts first and aggregate once at the end.
+    pure function of the raw rows.
     """
     result = run_grid(cells, workers=workers, cache=cache, executor=executor)
     if grid_info is not None:

@@ -1,9 +1,10 @@
 """Fault-tolerant lease-based remote executor (coordinator/worker over HTTP).
 
-:class:`ShardedExecutor` (PR 4) already distributes a grid, but placement is
-static round-robin and a hung worker stalls the whole run.  This module adds
-the dynamic counterpart behind the same :class:`~repro.experiments.grid.Executor`
-seam:
+The in-process executors of :mod:`repro.experiments.grid` run a grid inside
+one interpreter; this module runs it on separately started worker
+processes — on this host or on others — behind the same
+:class:`~repro.experiments.grid.Executor` seam, and survives workers that
+are killed, hang or lose the network mid-cell:
 
 * the **coordinator** (:class:`RemoteExecutor`) owns a :class:`LeaseTable`
   of pending cells and serves it over plain stdlib HTTP
@@ -17,15 +18,14 @@ seam:
   (``steal_after`` seconds after the original grant), so one straggler cannot
   serialize the tail of a run.  First valid completion wins; a duplicate
   completion is byte-compared against the recorded rows (deduped when
-  identical, a conflict naming the config hash when not — mirroring
-  ``merge_artifacts``'s duplicate semantics at the lease layer).
+  identical, a conflict naming the config hash when not).
 
 Completed rows stream back incrementally through ``record`` into the
-:class:`~repro.experiments.grid.CellStore` seam, so resume after a coordinator
-crash is the same indexed cache query PR 6 already provides.  Because every
-cell derives its random stream from the master seed and its own key alone,
-the merged artifact is byte-identical to :class:`SerialExecutor` for *any*
-worker count and *any* failure schedule.
+:class:`~repro.experiments.grid.CellStore` seam, so resuming after a
+coordinator crash is a rerun on the same cell cache, which serves every
+recorded cell.  Because every cell derives its random stream from the
+master seed and its own key alone, the assembled rows are byte-identical to
+:class:`SerialExecutor` for *any* worker count and *any* failure schedule.
 
 Fault injection (``REPRO_CHAOS``) makes those failure schedules testable::
 
@@ -62,7 +62,6 @@ from typing import Any, Callable, Mapping, Sequence
 from ..core.retry import RetryPolicy, retry_call
 from ..exceptions import GridExecutionError, InvalidParameterError
 from .grid import Executor, GridCell, RecordFn, _execute_payload, canonical_json
-from .sharding import _worker_env
 
 #: Environment variable holding the fault-injection directives.
 CHAOS_ENV = "REPRO_CHAOS"
@@ -82,6 +81,15 @@ DEFAULT_MAX_RETRIES = 3
 #: Default seconds the coordinator waits for workers to exit on their own
 #: (after the shutdown ``/lease`` reply) before escalating to SIGTERM.
 DEFAULT_SHUTDOWN_GRACE = 2.0
+
+
+def _worker_env() -> dict[str, str]:
+    """Environment for spawned worker subprocesses (repro importable)."""
+    env = dict(os.environ)
+    src_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    return env
 
 
 def wait_for_worker_exit(
@@ -1018,11 +1026,6 @@ class RemoteExecutor(Executor):
         #: threads (tests, same-host tools) wait on this instead of polling.
         self.ready = threading.Event()
 
-    @property
-    def total_workers(self) -> int:
-        """Local worker count reported in run summaries (0 = external only)."""
-        return self.workers
-
     def execute(self, tasks: Sequence[tuple[int, GridCell]], record: RecordFn) -> None:
         tasks = list(tasks)
         if not tasks:
@@ -1039,6 +1042,11 @@ class RemoteExecutor(Executor):
         server_thread.start()
         self.address = server.url
         self.ready.set()
+        # stderr, not stdout: stdout carries the figure table, and external
+        # workers started by hand need the (possibly ephemeral) address
+        print(
+            f"remote coordinator listening on {server.url}", file=sys.stderr, flush=True
+        )
         procs: list[tuple[int, "subprocess.Popen[bytes]", Path]] = []
         stderr_dir = tempfile.TemporaryDirectory(prefix="repro-remote-")
         try:
@@ -1103,14 +1111,14 @@ class RemoteExecutor(Executor):
     ) -> None:
         while True:
             for index, rows, elapsed in table.pop_completions():
-                record(index, rows, elapsed, "computed")
+                record(index, rows, elapsed)
             failure = table.failure
             if failure is not None:
                 raise GridExecutionError(failure)
             if table.all_done:
                 # catch completions enqueued between the drain and the check
                 for index, rows, elapsed in table.pop_completions():
-                    record(index, rows, elapsed, "computed")
+                    record(index, rows, elapsed)
                 return
             table.expire(self._clock())
             if self.workers > 0 and procs:

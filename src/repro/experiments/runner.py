@@ -10,21 +10,19 @@ Every figure is described by a :class:`FigureSpec` — a *plan* function
 expanding it into grid cells and a pure *postprocess* function aggregating
 raw cell rows into the figure's final rows.  That split is what makes
 execution pluggable: the same plan runs serially, across a process pool
-(``--workers``), as one sharded invocation (``--shards N``), or split over
-*separate* invocations on one host (``--shards N --shard-index i``
-journaling each shard's cells into the workspace's ``shards.sqlite``, then
-``--shards N --merge-shards`` reassembling the canonical figure artifact),
-or on the lease-based remote executor
-(``--remote-workers N`` spawning local workers, ``--remote-listen``
-accepting external ones, tuned by ``--lease-timeout`` / ``--max-retries``
-with the coordinator's event journal in ``--remote-log``).  All paths
-produce byte-identical rows.
+(``--workers N``), across a thread pool (``--executor thread``), or on the
+lease-based remote executor (``--remote-workers N`` spawning local
+workers, ``--remote-listen`` accepting separately started ones, tuned by
+``--lease-timeout`` / ``--max-retries`` with the coordinator's event
+journal in ``--remote-log``).  All paths produce byte-identical rows.
 
 Other engine knobs: ``--cache-dir`` / ``--no-cache`` control the on-disk
 cell memo (one WAL-mode SQLite database, ``<cache-dir>/cells.sqlite``, that
-also carries a run ledger), ``--cache-max-entries`` / ``--cache-max-bytes``
-bound its size, ``--seed`` overrides the master seed and ``--out`` persists
-rows, metadata and per-cell timings as a figure artifact.  The figure-less
+also carries a run ledger).  It stores each cell as it completes, so
+rerunning an interrupted figure with the same ``--cache-dir`` resumes it.
+``--cache-max-entries`` / ``--cache-max-bytes`` bound its size, ``--seed``
+overrides the master seed and ``--out`` persists rows, metadata and
+per-cell timings as a figure artifact.  The figure-less
 maintenance command ``--show-runs [N]`` prints the run ledger.
 
 Figure-less service commands: ``--serve HOST:PORT`` runs the live LDP
@@ -43,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..exceptions import GridExecutionError, InvalidParameterError, ShardMergeError
+from ..exceptions import GridExecutionError, InvalidParameterError
 from ..kernels import (
     KERNEL_BACKEND_CHOICES,
     KERNEL_BACKEND_ENV,
@@ -79,25 +77,10 @@ from .remote import (
     parse_listen,
 )
 from .reporting import format_table, save_artifact
-from .sharding import (
-    DEFAULT_GC_MAX_AGE_SECONDS,
-    ShardedExecutor,
-    gc_shard_workspaces,
-    journal_artifacts,
-    merge_artifacts,
-    plan_fingerprint,
-    plan_workspace,
-    run_shard,
-    validate_shards,
-    workspace_store,
-)
 from .utility_rsrfd import plan_utility_rsrfd, postprocess_utility_rsrfd
 
 #: Default on-disk cell-cache directory used by the CLI.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Default root for per-figure shard directories used by the CLI.
-DEFAULT_SHARD_ROOT = ".repro-shards"
 
 #: Reduced grids used by the ``--quick`` mode.
 _QUICK_EPSILONS = QUICK.epsilons
@@ -119,9 +102,7 @@ class FigureSpec:
         uses the experiment's default master seed (42).
     postprocess:
         Pure function turning the concatenated raw cell rows into the
-        figure's final rows (e.g. averaging over repetitions).  Keeping it
-        pure is what lets sharded invocations merge partial artifacts first
-        and aggregate once.
+        figure's final rows (e.g. averaging over repetitions).
     """
 
     figure: str
@@ -329,7 +310,7 @@ def run_experiment(
     executor:
         Optional :class:`~repro.experiments.grid.Executor` overriding the
         default serial/pool choice (e.g. a
-        :class:`~repro.experiments.sharding.ShardedExecutor`).
+        :class:`~repro.experiments.remote.RemoteExecutor`).
     """
     spec = figure_spec(figure, quick)
     return execute_plan(
@@ -483,57 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="master seed for the grid (default: each experiment's default, 42)",
     )
-    sharding = parser.add_argument_group(
-        "sharded execution",
-        "split a figure's cells into N deterministic shards; run any shard in "
-        "its own invocation on this host, then merge the shard journal back "
-        "into the canonical figure artifact (byte-identical to a "
-        "single-invocation run)",
-    )
-    sharding.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="number of shards; alone it runs all shards from this invocation "
-        "via the sharded executor",
-    )
-    sharding.add_argument(
-        "--shard-index",
-        type=_nonnegative_int,
-        default=None,
-        metavar="I",
-        help="execute only shard I (0-based), journaling its cells; "
-        "re-invoking resumes, recomputing only the missing cells",
-    )
-    sharding.add_argument(
-        "--merge-shards",
-        action="store_true",
-        help="merge the journaled cells of all N shards into the figure's rows",
-    )
-    sharding.add_argument(
-        "--shard-dir",
-        default=None,
-        metavar="DIR",
-        help="directory holding the per-plan shard workspaces "
-        f"(default: {DEFAULT_SHARD_ROOT}/<figure>)",
-    )
-    sharding.add_argument(
-        "--gc-shards",
-        action="store_true",
-        help="instead of running the figure, sweep orphaned per-plan "
-        "workspaces under the shard directory (interrupted cached runs can "
-        "leave them behind) and exit; workspaces whose newest file is "
-        "younger than --gc-max-age are never touched",
-    )
-    sharding.add_argument(
-        "--gc-max-age",
-        type=float,
-        default=DEFAULT_GC_MAX_AGE_SECONDS,
-        metavar="SECONDS",
-        help="age threshold for --gc-shards "
-        f"(default: {DEFAULT_GC_MAX_AGE_SECONDS:.0f}s = 7 days)",
-    )
     remote = parser.add_argument_group(
         "remote execution",
         "lease cells to networked workers over HTTP: the coordinator "
@@ -547,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="run this figure through the remote executor, listening on "
-        "HOST:PORT (port 0 = ephemeral); with --remote-workers 0 the "
-        "coordinator only waits for external remote_worker processes",
+        "HOST:PORT (port 0 = ephemeral; the bound address is printed to "
+        "stderr); with --remote-workers 0 the coordinator only waits for "
+        "external remote_worker processes",
     )
     remote.add_argument(
         "--remote-workers",
@@ -644,10 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shard_root(args: argparse.Namespace) -> str:
-    return args.shard_dir or f"{DEFAULT_SHARD_ROOT}/{args.figure.strip().lower()}"
-
-
 def _record_run(
     cache: "SQLiteCellStore | None",
     kind: str,
@@ -664,40 +591,6 @@ def _record_run(
             started_at=started_at,
             finished_at=time.time(),
         )
-
-
-def _shard_main(args: argparse.Namespace, cache: "SQLiteCellStore | None") -> int:
-    """Handle the ``--shard-index`` / ``--merge-shards`` CLI paths."""
-    figure = args.figure.strip().lower()
-    spec = figure_spec(figure, quick=not args.full)
-    shards = validate_shards(args.shards, args.shard_index)
-    cells = spec.plan(args.seed)
-    started_at = time.time()
-    # per-plan workspace inside the shard root: the same layout
-    # ShardedExecutor uses, so quick/full/seed variants never collide
-    workspace = plan_workspace(_shard_root(args), cells)
-
-    if args.shard_index is not None:
-        result = run_shard(
-            cells,
-            shards,
-            args.shard_index,
-            workspace,
-            workers=args.workers,
-            cache=cache,
-        )
-        _record_run(cache, "run_shard", figure, result.summary(), started_at)
-        print(json.dumps(result.summary()))
-        return 0
-
-    with workspace_store(workspace) as store:
-        artifacts = journal_artifacts(store, plan_fingerprint(cells), shards)
-    merged = merge_artifacts(cells, artifacts)
-    rows = spec.postprocess(merged.rows)
-    _record_run(cache, "merge_shards", figure, merged.summary(), started_at)
-    print(format_table(rows))
-    _write_figure_artifact(args, figure, rows, merged.summary())
-    return 0
 
 
 def _write_figure_artifact(
@@ -787,12 +680,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Command-line entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.gc_shards and (
-        args.shards is not None or args.shard_index is not None or args.merge_shards
-    ):
-        parser.error(
-            "--gc-shards cannot be combined with --shards/--shard-index/--merge-shards"
-        )
     if args.no_cache and (
         args.cache_max_entries is not None or args.cache_max_bytes is not None
     ):
@@ -815,16 +702,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     remote_mode = args.remote_listen is not None or args.remote_workers is not None
     if remote_mode:
-        if (
-            args.shards is not None
-            or args.shard_index is not None
-            or args.merge_shards
-            or args.gc_shards
-        ):
-            parser.error(
-                "remote execution (--remote-listen/--remote-workers) cannot "
-                "be combined with --shards/--shard-index/--merge-shards/--gc-shards"
-            )
         if args.workers != 1:
             parser.error(
                 "--workers selects the in-process pool and has no effect on "
@@ -850,10 +727,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--serve and --snapshot are mutually exclusive")
         if (
             args.figure is not None
-            or args.shards is not None
-            or args.shard_index is not None
-            or args.merge_shards
-            or args.gc_shards
             or remote_mode
             or args.show_runs is not None
             or args.out is not None
@@ -861,7 +734,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ):
             parser.error(
                 "--serve/--snapshot are figure-less service commands and "
-                "cannot be combined with a figure, sharding, remote-execution, "
+                "cannot be combined with a figure, remote-execution, "
                 "executor or maintenance flags"
             )
         if args.snapshot is not None and (
@@ -881,20 +754,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "service and require --serve or --snapshot"
         )
     if args.show_runs is not None:
-        if (
-            args.figure is not None
-            or args.shards is not None
-            or args.shard_index is not None
-            or args.merge_shards
-            or args.gc_shards
-            or args.shard_dir is not None
-            or remote_mode
-            or args.executor is not None
-        ):
+        if args.figure is not None or remote_mode or args.executor is not None:
             parser.error(
                 "--show-runs is a figure-less maintenance command and cannot "
-                "be combined with a figure, sharding, remote-execution or "
-                "executor flags"
+                "be combined with a figure, remote-execution or executor flags"
             )
         if args.out is not None:
             parser.error(
@@ -906,28 +769,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _maintenance_main(args)
     if args.figure is None:
         parser.error("a figure identifier is required")
-    if args.gc_shards:
-        try:
-            summary = gc_shard_workspaces(_shard_root(args), args.gc_max_age)
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(summary))
-        return 0
-    if (args.shard_index is not None or args.merge_shards) and args.shards is None:
-        parser.error("--shard-index/--merge-shards require --shards N")
-    if args.shard_index is not None and args.merge_shards:
-        parser.error("--shard-index and --merge-shards are mutually exclusive")
-    if args.shard_index is not None and args.out is not None:
-        parser.error(
-            "--out has no effect on a single-shard invocation; "
-            "pass it to --merge-shards instead"
-        )
-    if args.executor is not None and args.shards is not None:
-        parser.error(
-            "--executor selects the in-process execution strategy; sharded "
-            "runs distribute cells through their own shard workers (--workers)"
-        )
     grid_info: dict = {}
     cache = None
     started_at = time.time()
@@ -937,8 +778,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_entries=args.cache_max_entries,
             max_bytes=args.cache_max_bytes,
         )
-        if args.shard_index is not None or args.merge_shards:
-            return _shard_main(args, cache)
         executor = None
         if remote_mode:
             executor = RemoteExecutor(
@@ -958,18 +797,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ),
                 event_log=args.remote_log,
             )
-        elif args.shards is not None:
-            # persistent per-figure shard root (the documented default), so
-            # an interrupted sharded run resumes instead of starting over;
-            # the shared cell cache is handed to the shard workers too
-            executor = ShardedExecutor(
-                args.shards,
-                directory=_shard_root(args),
-                workers=args.workers,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                cache_max_entries=None if args.no_cache else args.cache_max_entries,
-                cache_max_bytes=None if args.no_cache else args.cache_max_bytes,
-            )
         elif args.executor is not None:
             if args.executor == "thread":
                 executor = ThreadedExecutor(args.workers)
@@ -987,7 +814,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             executor=executor,
         )
         _record_run(cache, "run_grid", args.figure.strip().lower(), grid_info, started_at)
-    except (InvalidParameterError, GridExecutionError, ShardMergeError) as exc:
+    except (InvalidParameterError, GridExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

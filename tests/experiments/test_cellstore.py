@@ -83,7 +83,7 @@ class TestCellsTable:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
-        assert stats["journal_entries"] == 0
+        assert "journal_entries" not in stats
         assert stats["runs"] == 0
         assert stats["schema_version"] == CELLSTORE_SCHEMA_VERSION
 
@@ -316,10 +316,10 @@ class TestMigrations:
             SQLiteCellStore(path)
 
     def test_concurrent_openers_apply_each_migration_once(self, tmp_path, monkeypatch):
-        # shard workers open a fresh journal database at the same moment: an
-        # opener that read version 0 before another one migrated must not
-        # re-run the CREATE TABLE scripts
-        path = tmp_path / "shards.sqlite"
+        # two processes open a fresh database at the same moment: an opener
+        # that read version 0 before another one migrated must not re-run
+        # the CREATE TABLE scripts
+        path = tmp_path / "cells.sqlite"
         SQLiteCellStore(path).close()
         real_version = SQLiteCellStore.schema_version
         stale = {"reads": 1}
@@ -335,6 +335,33 @@ class TestMigrations:
         assert real_version(store) == CELLSTORE_SCHEMA_VERSION
         store.close()
 
+    def test_version_2_database_drops_the_shard_journal_and_keeps_its_cells(
+        self, tmp_path
+    ):
+        path = tmp_path / "cells.sqlite"
+        with SQLiteCellStore(path) as current:
+            current.put(cell(1), [{"value": 1}], elapsed=0.0)
+        # roll the database back to version 2, journal table and all
+        conn = sqlite3.connect(path)
+        for statement in _statements(_MIGRATIONS[0]):
+            if "shard_journal" in statement:
+                conn.execute(statement)
+        for statement in _statements(_MIGRATIONS[1]):
+            conn.execute(statement.replace("CREATE INDEX", "CREATE INDEX IF NOT EXISTS"))
+        conn.execute("INSERT INTO shard_journal VALUES ('plan', 0, 'h', '{}', 0.0)")
+        conn.execute("PRAGMA user_version = 2")
+        conn.commit()
+        conn.close()
+        with SQLiteCellStore(path) as store:
+            assert store.schema_version() == CELLSTORE_SCHEMA_VERSION == 3
+            names = {
+                row[0]
+                for row in store._conn.execute("SELECT name FROM sqlite_master")
+            }
+            assert "shard_journal" not in names
+            assert "idx_journal_fingerprint" not in names
+            assert store.get(cell(1)) == [{"value": 1}]
+
     def test_reopening_is_idempotent(self, tmp_path):
         first = SQLiteCellStore.for_directory(tmp_path)
         first.put(cell(1), [{"value": 1}], elapsed=0.0)
@@ -345,77 +372,10 @@ class TestMigrations:
         second.close()
 
 
-class TestShardJournal:
-    def entry(self, value: int) -> dict:
-        return {"config_hash": f"hash-{value}", "rows": [{"value": value}]}
-
-    def test_append_and_query(self, store):
-        for value in range(4):
-            assert store.journal_append("plan-a", value % 2, self.entry(value))
-        recovered = store.journal_entries("plan-a")
-        assert set(recovered) == {f"hash-{v}" for v in range(4)}
-        assert store.journal_entries("plan-b") == {}
-
-    def test_append_is_idempotent_per_cell(self, store):
-        store.journal_append("plan-a", 0, self.entry(1))
-        store.journal_append("plan-a", 1, {"config_hash": "hash-1", "rows": [{"value": 9}]})
-        recovered = store.journal_entries("plan-a")
-        assert len(recovered) == 1
-        assert recovered["hash-1"]["rows"] == [{"value": 9}]  # the upsert won
-
-    def test_clear_one_shard_keeps_the_others(self, store):
-        store.journal_append("plan-a", 0, self.entry(0))
-        store.journal_append("plan-a", 1, self.entry(1))
-        assert store.journal_clear("plan-a", shard_index=0) == 1
-        assert set(store.journal_entries("plan-a")) == {"hash-1"}
-        assert store.journal_clear("plan-a") == 1
-        assert store.journal_entries("plan-a") == {}
-
-    def test_undecodable_entry_rows_are_skipped(self, store):
-        store.journal_append("plan-a", 0, self.entry(0))
-        store._conn.execute("UPDATE shard_journal SET entry = '{torn'")
-        store._conn.commit()
-        assert store.journal_entries("plan-a") == {}
-
-    def test_records_keep_shard_index_in_append_order(self, store):
-        for value, shard_index in ((2, 1), (0, 0), (1, 1)):
-            store.journal_append("plan-a", shard_index, self.entry(value))
-        records = [
-            (shard_index, entry["config_hash"])
-            for shard_index, entry in store.journal_records("plan-a")
-        ]
-        assert records == [(1, "hash-2"), (0, "hash-0"), (1, "hash-1")]
-
-    def test_entry_without_config_hash_is_refused_with_a_warning(self, store):
-        with pytest.warns(RuntimeWarning, match="journal append failed"):
-            assert store.journal_append("plan-a", 0, {"rows": []}) is False
-        assert store.journal_entries("plan-a") == {}
-
-    def test_non_object_entries_are_skipped(self, store):
-        store.journal_append("plan-a", 0, self.entry(0))
-        store.journal_append("plan-a", 0, self.entry(1))
-        store._conn.execute(
-            "UPDATE shard_journal SET entry = '[1, 2]' WHERE config_hash = 'hash-0'"
-        )
-        store._conn.commit()
-        assert set(store.journal_entries("plan-a")) == {"hash-1"}
-
-    def test_clearing_an_unknown_plan_removes_nothing(self, store):
-        store.journal_append("plan-a", 0, self.entry(0))
-        assert store.journal_clear("plan-b") == 0
-        assert store.journal_clear("plan-a", shard_index=3) == 0
-        assert set(store.journal_entries("plan-a")) == {"hash-0"}
-
-    def test_journal_is_separate_from_the_cells_table(self, store):
-        store.journal_append("plan-a", 0, self.entry(0))
-        assert len(store) == 0
-        assert store.stats()["journal_entries"] == 1
-
-
 class TestRunsLedger:
     def test_record_and_read_back_newest_first(self, store):
         first = store.record_run("run_grid", figure="fig2", summary={"cells": 3})
-        second = store.record_run("run_shard", figure="fig2", summary={"cells": 1})
+        second = store.record_run("bench", figure="fig2", summary={"cells": 1})
         ledger = store.runs_ledger()
         assert [entry["run_id"] for entry in ledger] == [second, first]
         assert ledger[1]["kind"] == "run_grid"
@@ -424,11 +384,11 @@ class TestRunsLedger:
 
     def test_filter_and_limit(self, store):
         for index in range(5):
-            store.record_run("run_shard", summary={"i": index})
-        store.record_run("merge_shards", summary={})
+            store.record_run("run_grid", summary={"i": index})
+        store.record_run("bench", summary={})
         assert len(store.runs_ledger(limit=2)) == 2
-        kinds = {entry["kind"] for entry in store.runs_ledger(kind="run_shard")}
-        assert kinds == {"run_shard"}
+        kinds = {entry["kind"] for entry in store.runs_ledger(kind="run_grid")}
+        assert kinds == {"run_grid"}
 
     def test_explicit_timestamps_are_kept(self, store):
         store.record_run("run_grid", started_at=10.0, finished_at=12.5)
@@ -541,21 +501,18 @@ class TestDegradation:
             warnings.simplefilter("always")
             # new categories each warn once...
             assert store.put(cell(2), [{"value": 2}], elapsed=0.0) is None
-            assert store.journal_append("plan", 0, {"config_hash": "h"}) is False
-            assert store.journal_entries("plan") == {}
             assert store.record_run("run_grid") is None
             assert store.runs_ledger() == []
             assert store.stats()["entries"] == 0
         actions = [str(w.message) for w in caught]
-        assert len(actions) == 6  # write, journal append/read, ledger append/read, stats
+        assert len(actions) == 4  # write, ledger append/read, stats
         assert [a for a in actions if "write failed" in a]
-        assert [a for a in actions if "journal append failed" in a]
+        assert [a for a in actions if "ledger append failed" in a]
         # ...then every repeat degrades silently
         with warnings.catch_warnings(record=True) as repeat:
             warnings.simplefilter("always")
             assert store.get(cell(1)) is None
             assert store.put(cell(3), [{"value": 3}], elapsed=0.0) is None
-            assert store.journal_entries("plan") == {}
             assert store.runs_ledger() == []
             assert len(store) == 0
             assert store.stats()["entries"] == 0
@@ -630,18 +587,18 @@ class TestWriteContention:
             release.join()
             store.close()
 
-    def test_two_writers_share_one_journal(self, tmp_path):
+    def test_two_writers_share_one_database(self, tmp_path):
         path = tmp_path / "cells.sqlite"
         first = SQLiteCellStore(path)
         second = SQLiteCellStore(path)
         try:
             for index in range(4):
                 writer = first if index % 2 == 0 else second
-                assert writer.journal_append(
-                    "plan", index % 2, {"config_hash": f"h{index}", "value": index}
-                )
-            assert set(first.journal_entries("plan")) == {"h0", "h1", "h2", "h3"}
-            assert second.journal_entries("plan") == first.journal_entries("plan")
+                assert writer.put(cell(index), [{"value": index}], elapsed=0.0) == path
+            for reader in (first, second):
+                assert [reader.get(cell(index)) for index in range(4)] == [
+                    [{"value": index}] for index in range(4)
+                ]
         finally:
             first.close()
             second.close()

@@ -1,6 +1,12 @@
 """Tests for the experiment registry and CLI."""
 
 import json
+import os
+import select
+import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +19,9 @@ from repro.experiments.runner import (
     main,
     run_experiment,
 )
+
+
+SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
 def _stored(cache_dir) -> dict:
@@ -151,13 +160,13 @@ class TestCliCacheBounds:
         capsys.readouterr()
         assert 0 < _stored(bounded)["total_bytes"] <= budget
 
-    def test_cache_bounds_hold_under_sharded_execution(self, tmp_path, capsys):
-        """Shard workers receive the bounds too, so --shards N cannot
-        overflow a bounded cache."""
+    def test_cache_bounds_hold_under_a_process_pool(self, tmp_path, capsys):
+        """Pool workers hand their rows back to the parent, whose store
+        enforces the bounds, so --workers N cannot overflow a bounded cache."""
         cache_dir = tmp_path / "cache"
         code = main(
             ["fig1", "--cache-dir", str(cache_dir), "--cache-max-entries", "4",
-             "--shards", "2", "--shard-dir", str(tmp_path / "shards")]
+             "--workers", "2"]
         )
         assert code == 0
         capsys.readouterr()
@@ -182,8 +191,6 @@ class TestCliArgumentValidation:
         [
             ("--workers", "0", "positive integer"),
             ("--workers", "-2", "positive integer"),
-            ("--shards", "0", "positive integer"),
-            ("--shard-index", "-1", "non-negative integer"),
             ("--lease-timeout", "0", "positive number"),
             ("--cache-max-entries", "banana", "positive integer"),
         ],
@@ -210,12 +217,6 @@ class TestCliArgumentValidation:
             main(["fig1", "--remote-listen", "nonsense"])
         assert excinfo.value.code == 2
         assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_remote_conflicts_with_sharding(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig1", "--remote-workers", "2", "--shards", "2"])
-        assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
 
     def test_remote_conflicts_with_workers(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -259,12 +260,6 @@ class TestCliKernelsAndExecutor:
             main(["fig1", "--executor", "serial", "--workers", "2"])
         assert excinfo.value.code == 2
         assert "--executor serial" in capsys.readouterr().err
-
-    def test_executor_conflicts_with_sharding(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig1", "--executor", "thread", "--shards", "2"])
-        assert excinfo.value.code == 2
-        assert "--executor" in capsys.readouterr().err
 
     def test_executor_conflicts_with_remote_mode(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -313,6 +308,60 @@ class TestCliRemote:
             line["event"] for line in lines
         }
 
+    def test_external_workers_find_the_announced_address(self, tmp_path, capsys):
+        """--remote-listen HOST:0 --remote-workers 0 prints the bound address
+        on stderr; two separately started remote_worker processes serve the
+        figure, and its rows match a serial run byte for byte."""
+        serial_out = tmp_path / "serial"
+        assert main(["fig1", "--no-cache", "--out", str(serial_out)]) == 0
+        capsys.readouterr()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_ROOT) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        remote_out = tmp_path / "remote"
+        coordinator = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "fig1", "--no-cache",
+             "--remote-listen", "127.0.0.1:0", "--remote-workers", "0",
+             "--out", str(remote_out)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            ready, _, _ = select.select([coordinator.stderr], [], [], 60)
+            assert ready, "the coordinator never announced its address"
+            line = coordinator.stderr.readline()
+            prefix = "remote coordinator listening on "
+            assert line.startswith(prefix), line
+            url = line[len(prefix):].strip()
+            assert url.startswith("http://127.0.0.1:") and not url.endswith(":0")
+            workers = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "repro.experiments.remote_worker",
+                     "--coordinator", url],
+                    env=env,
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL,
+                )
+                for _ in range(2)
+            ]
+            stdout, _ = coordinator.communicate(timeout=120)
+            assert coordinator.returncode == 0
+        finally:
+            # a worker that starts after the last cell finds the coordinator
+            # gone and retries before giving up; only the rows are the contract
+            for proc in [coordinator, *workers]:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert "remote coordinator" not in stdout
+        assert (remote_out / "fig1" / "rows.json").read_bytes() == (
+            serial_out / "fig1" / "rows.json"
+        ).read_bytes()
+
 
 class TestCliCellStore:
     """The run ledger and the figure-less maintenance command --show-runs."""
@@ -323,6 +372,12 @@ class TestCliCellStore:
             ["fig1", "--cache-backend", "sqlite"],
             ["fig1", "--cache-backend", "json"],
             ["--migrate-cache"],
+            ["fig1", "--shards", "2"],
+            ["fig1", "--shard-index", "0"],
+            ["fig1", "--merge-shards"],
+            ["fig1", "--shard-dir", "shards"],
+            ["fig1", "--gc-shards"],
+            ["fig1", "--gc-max-age", "60"],
         ),
     )
     def test_removed_store_flags_exit_2(self, capsys, argv):
@@ -332,6 +387,23 @@ class TestCliCellStore:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err
         assert next(arg for arg in argv if arg.startswith("--")) in err
+
+    def test_deleted_cell_row_is_recomputed_alone(self, tmp_path, capsys):
+        """Resuming is a rerun on the same --cache-dir: a cell missing from
+        cells.sqlite is the only one computed, and the rows do not change."""
+        cache_dir = tmp_path / "cache"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["fig1", "--cache-dir", str(cache_dir), "--out", str(first)]) == 0
+        with sqlite3.connect(cache_dir / "cells.sqlite") as conn:
+            conn.execute("DELETE FROM cells WHERE rowid = (SELECT MIN(rowid) FROM cells)")
+        conn.close()
+        assert main(["fig1", "--cache-dir", str(cache_dir), "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert (second / "fig1" / "rows.json").read_bytes() == (
+            first / "fig1" / "rows.json"
+        ).read_bytes()
+        grid = json.loads((second / "fig1" / "meta.json").read_text())["grid"]
+        assert grid["computed"] == 1 and grid["from_cache"] == 9
 
     def test_figure_run_records_run_ledger(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -344,33 +416,6 @@ class TestCliCellStore:
         assert entry["kind"] == "run_grid"
         assert entry["figure"] == "fig1"
         assert entry["summary"]["cells"] == 10
-
-    def test_cached_sharded_invocations_merge_identically(self, tmp_path, capsys):
-        reference = tmp_path / "reference"
-        assert main(["fig1", "--no-cache", "--out", str(reference)]) == 0
-        capsys.readouterr()
-        shard_dir = tmp_path / "shards"
-        cache_dir = tmp_path / "cache"
-        common = ["fig1", "--cache-dir", str(cache_dir), "--shards", "2",
-                  "--shard-dir", str(shard_dir)]
-        for index in ("0", "1"):
-            assert main(common + ["--shard-index", index]) == 0
-            summary = json.loads(capsys.readouterr().out)
-            assert summary["journal"].endswith("shards.sqlite")
-        merged = tmp_path / "merged"
-        assert main(common + ["--merge-shards", "--out", str(merged)]) == 0
-        capsys.readouterr()
-        assert (merged / "fig1" / "rows.json").read_bytes() == (
-            reference / "fig1" / "rows.json"
-        ).read_bytes()
-        meta = json.loads((merged / "fig1" / "meta.json").read_text())
-        assert "cache_backend" not in meta
-        # the ledger saw both shard runs and the merge
-        assert main(["--cache-dir", str(cache_dir), "--show-runs"]) == 0
-        kinds = [json.loads(line)["kind"]
-                 for line in capsys.readouterr().out.splitlines()]
-        assert kinds.count("run_shard") == 2
-        assert kinds.count("merge_shards") == 1
 
     def test_default_cache_dir_is_one_database_in_the_working_directory(
         self, tmp_path, monkeypatch, capsys
@@ -422,13 +467,13 @@ class TestCliCellStore:
         with pytest.raises(SystemExit):
             main(["--no-cache", "--show-runs"])
 
-    def test_maintenance_flags_reject_sharding_flags(self, capsys):
-        for extra in (["--merge-shards"], ["--shard-index", "0"],
-                      ["--shard-dir", "workdir"]):
+    def test_maintenance_flags_reject_remote_and_executor_flags(self, capsys):
+        for extra in (["--remote-workers", "1"], ["--remote-listen", "127.0.0.1:0"],
+                      ["--executor", "thread"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["--show-runs", *extra])
             assert excinfo.value.code == 2
-            assert "sharding" in capsys.readouterr().err
+            assert "remote-execution or executor" in capsys.readouterr().err
 
     def test_maintenance_flags_reject_out(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -451,87 +496,6 @@ class TestCliCellStore:
         assert "error" in capsys.readouterr().err
 
 
-class TestCliSharding:
-    def _rows(self, out_dir, figure="fig1"):
-        return (out_dir / figure / "rows.json").read_bytes()
-
-    def test_shard_invocations_merge_into_identical_artifact(self, tmp_path, capsys):
-        reference = tmp_path / "reference"
-        assert main(["fig1", "--no-cache", "--out", str(reference)]) == 0
-        capsys.readouterr()
-        shard_dir = tmp_path / "shards"
-        for index in ("0", "1"):
-            code = main(
-                ["fig1", "--no-cache", "--shards", "2", "--shard-index", index,
-                 "--shard-dir", str(shard_dir)]
-            )
-            assert code == 0
-            summary = json.loads(capsys.readouterr().out)
-            assert summary["shards"] == 2
-            assert summary["computed"] == summary["cells"]
-        merged = tmp_path / "merged"
-        code = main(
-            ["fig1", "--no-cache", "--shards", "2", "--merge-shards",
-             "--shard-dir", str(shard_dir), "--out", str(merged)]
-        )
-        assert code == 0
-        capsys.readouterr()
-        assert self._rows(merged) == self._rows(reference)
-        meta = json.loads((merged / "fig1" / "meta.json").read_text())
-        assert meta["grid"]["cells"] == 10
-        assert meta["grid"]["missing"] == 0
-
-    def test_shard_reinvocation_resumes(self, tmp_path, capsys):
-        shard_dir = tmp_path / "shards"
-        args = ["fig1", "--no-cache", "--shards", "2", "--shard-index", "0",
-                "--shard-dir", str(shard_dir)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["computed"] == 0
-        assert summary["resumed"] == summary["cells"]
-
-    def test_single_invocation_sharded_executor(self, tmp_path, capsys):
-        reference = tmp_path / "reference"
-        assert main(["fig1", "--no-cache", "--out", str(reference)]) == 0
-        capsys.readouterr()
-        sharded = tmp_path / "sharded"
-        assert main(["fig1", "--no-cache", "--shards", "2", "--shard-dir",
-                     str(tmp_path / "parts"), "--out", str(sharded)]) == 0
-        capsys.readouterr()
-        assert self._rows(sharded) == self._rows(reference)
-
-    def test_merge_with_missing_shard_exits_2_naming_cells(self, tmp_path, capsys):
-        shard_dir = tmp_path / "shards"
-        assert main(["fig1", "--no-cache", "--shards", "2", "--shard-index", "0",
-                     "--shard-dir", str(shard_dir)]) == 0
-        capsys.readouterr()
-        assert main(["fig1", "--no-cache", "--shards", "2", "--merge-shards",
-                     "--shard-dir", str(shard_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "absent" in err
-        assert "analytical_acc" in err
-
-    def test_shard_index_requires_shards(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig1", "--shard-index", "0"])
-
-    def test_shard_index_conflicts_with_merge(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig1", "--shards", "2", "--shard-index", "0", "--merge-shards"])
-
-    def test_shard_index_rejects_out(self, capsys):
-        """--out would be silently ignored on a single-shard invocation."""
-        with pytest.raises(SystemExit):
-            main(["fig1", "--shards", "2", "--shard-index", "0", "--out", "x"])
-
-    def test_out_of_range_shard_index_exits_2(self, tmp_path, capsys):
-        assert main(["fig1", "--no-cache", "--shards", "2", "--shard-index", "5",
-                     "--shard-dir", str(tmp_path)]) == 2
-        assert "shard_index" in capsys.readouterr().err
-
-
 class TestCliService:
     """The figure-less --serve / --snapshot collection-service paths."""
 
@@ -542,7 +506,7 @@ class TestCliService:
             ["--serve", "127.0.0.1:0", "--snapshot", "http://h:1"],
             ["fig1", "--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0"],
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",
-             "--shards", "2"],
+             "--executor", "thread"],
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",
              "--remote-workers", "1"],
             ["--serve", "127.0.0.1:0", "--attribute", "a:GRR:4:1.0",

@@ -1,6 +1,7 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,14 @@ class TestTopLevelExports:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
+
+    def test_pyproject_declares_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["name"] == "repro"
+        assert project["version"] == repro.__version__
+        assert project["dependencies"] == ["numpy"]
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
