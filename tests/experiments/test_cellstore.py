@@ -155,6 +155,24 @@ class TestCellsTable:
         assert row["elapsed"] == 0.5
         assert row["size_bytes"] == len(row["rows"].encode("utf-8"))
 
+    def test_cells_of_different_figures_share_one_entry(self, store):
+        """The figure is a label: identical work is stored once."""
+        store.put(cell(1), [{"value": 1}], elapsed=0.0)
+        relabeled = GridCell(
+            figure="other", runner="_test_store_echo", params={"value": 1}, master_seed=42
+        )
+        assert store.get(relabeled) == [{"value": 1}]
+        store.put(relabeled, [{"value": 1}], elapsed=0.0)
+        assert len(store) == 1
+
+    def test_rows_keep_their_order_and_nested_values(self, store):
+        rows = [
+            {"value": 2, "curve": [0.5, 0.25], "meta": {"k": 4, "name": "GRR"}},
+            {"value": 1, "curve": [], "meta": {"k": 2, "name": None}},
+        ]
+        store.put(cell(1), rows, elapsed=0.0)
+        assert store.get(cell(1)) == rows
+
 
 class TestEviction:
     def test_max_entries_evicts_least_recently_used(self, tmp_path):
@@ -358,6 +376,31 @@ class TestMigrations:
                 row[0]
                 for row in store._conn.execute("SELECT name FROM sqlite_master")
             }
+            assert "shard_journal" not in names
+            assert "idx_journal_fingerprint" not in names
+            assert store.get(cell(1)) == [{"value": 1}]
+
+    def test_version_1_database_migrates_through_to_the_current_schema(self, tmp_path):
+        """A version-1 database gains the LRU index and loses the shard
+        journal in one reopen, keeping its cells."""
+        path = tmp_path / "cells.sqlite"
+        with SQLiteCellStore(path) as current:
+            current.put(cell(1), [{"value": 1}], elapsed=0.0)
+        conn = sqlite3.connect(path)
+        conn.execute("DROP INDEX idx_cells_last_used")
+        for statement in _statements(_MIGRATIONS[0]):
+            if "shard_journal" in statement:
+                conn.execute(statement)
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        with SQLiteCellStore(path) as store:
+            assert store.schema_version() == CELLSTORE_SCHEMA_VERSION
+            names = {
+                row[0]
+                for row in store._conn.execute("SELECT name FROM sqlite_master")
+            }
+            assert "idx_cells_last_used" in names
             assert "shard_journal" not in names
             assert "idx_journal_fingerprint" not in names
             assert store.get(cell(1)) == [{"value": 1}]

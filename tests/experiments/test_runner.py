@@ -24,6 +24,14 @@ from repro.experiments.runner import (
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
+#: CLI flags selecting each non-serial executor.
+EXECUTOR_FLAGS = {
+    "process": ["--workers", "2"],
+    "thread": ["--executor", "thread", "--workers", "2"],
+    "remote": ["--remote-workers", "2"],
+}
+
+
 def _stored(cache_dir) -> dict:
     """Occupancy of the cell store in ``cache_dir``."""
     with SQLiteCellStore.for_directory(cache_dir) as store:
@@ -193,6 +201,10 @@ class TestCliArgumentValidation:
             ("--workers", "-2", "positive integer"),
             ("--lease-timeout", "0", "positive number"),
             ("--cache-max-entries", "banana", "positive integer"),
+            ("--cache-max-bytes", "0", "positive integer"),
+            ("--remote-workers", "-1", "non-negative integer"),
+            ("--lease-timeout", "-3", "positive number"),
+            ("--queue-size", "0", "positive integer"),
         ],
     )
     def test_invalid_values_exit_2_naming_the_flag(
@@ -284,6 +296,23 @@ class TestCliKernelsAndExecutor:
         meta = json.loads((threaded_out / "fig1" / "meta.json").read_text())
         assert meta["kernel_backend"] in ("numpy", "numba")
         assert meta["grid"]["executor"] == "ThreadedExecutor"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["--workers", "2"], ["--executor", "process", "--workers", "2"]),
+        ids=["workers", "executor"],
+    )
+    def test_process_pool_cli_artifact_matches_serial(self, tmp_path, capsys, argv):
+        serial_out, pool_out = tmp_path / "serial", tmp_path / "pool"
+        assert main(["fig1", "--no-cache", "--out", str(serial_out)]) == 0
+        assert main(["fig1", "--no-cache", *argv, "--out", str(pool_out)]) == 0
+        capsys.readouterr()
+        assert (pool_out / "fig1" / "rows.json").read_bytes() == (
+            serial_out / "fig1" / "rows.json"
+        ).read_bytes()
+        grid = json.loads((pool_out / "fig1" / "meta.json").read_text())["grid"]
+        assert grid["executor"] == "ProcessPoolExecutor" and grid["workers"] == 2
 
 
 class TestCliRemote:
@@ -404,6 +433,50 @@ class TestCliCellStore:
         ).read_bytes()
         grid = json.loads((second / "fig1" / "meta.json").read_text())["grid"]
         assert grid["computed"] == 1 and grid["from_cache"] == 9
+
+    @pytest.mark.parametrize(
+        "argv", list(EXECUTOR_FLAGS.values()), ids=list(EXECUTOR_FLAGS)
+    )
+    def test_warm_cache_serves_every_executor(self, tmp_path, capsys, argv):
+        """A cache filled by a serial run serves the whole figure to any
+        executor, with the same rows."""
+        cache_dir = tmp_path / "cache"
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        assert main(["fig1", "--cache-dir", str(cache_dir), "--out", str(cold)]) == 0
+        assert main(
+            ["fig1", "--cache-dir", str(cache_dir), *argv, "--out", str(warm)]
+        ) == 0
+        capsys.readouterr()
+        assert (warm / "fig1" / "rows.json").read_bytes() == (
+            cold / "fig1" / "rows.json"
+        ).read_bytes()
+        grid = json.loads((warm / "fig1" / "meta.json").read_text())["grid"]
+        assert grid["computed"] == 0 and grid["from_cache"] == 10
+
+    @pytest.mark.parametrize(
+        "argv", list(EXECUTOR_FLAGS.values()), ids=list(EXECUTOR_FLAGS)
+    )
+    def test_deleted_cell_rows_are_recomputed_by_every_executor(
+        self, tmp_path, capsys, argv
+    ):
+        cache_dir = tmp_path / "cache"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["fig1", "--cache-dir", str(cache_dir), "--out", str(first)]) == 0
+        with sqlite3.connect(cache_dir / "cells.sqlite") as conn:
+            conn.execute(
+                "DELETE FROM cells WHERE rowid IN (SELECT rowid FROM cells LIMIT 3)"
+            )
+        conn.close()
+        assert main(
+            ["fig1", "--cache-dir", str(cache_dir), *argv, "--out", str(second)]
+        ) == 0
+        capsys.readouterr()
+        assert (second / "fig1" / "rows.json").read_bytes() == (
+            first / "fig1" / "rows.json"
+        ).read_bytes()
+        grid = json.loads((second / "fig1" / "meta.json").read_text())["grid"]
+        assert grid["computed"] == 3 and grid["from_cache"] == 7
+        assert _stored(cache_dir)["entries"] == 10
 
     def test_figure_run_records_run_ledger(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
