@@ -8,12 +8,13 @@ gradients and shrinkage.  It is deliberately small but captures the signal
 the attack exploits (systematic differences between the LDP report and the
 fake data), which is what matters for reproducing the paper's orderings.
 
-Hot-path layout: every round's ``n_classes`` trees are grown in lockstep by
-:func:`repro.ml.tree.grow_forest` (one histogram pass over the feature
-matrix per tree level for the whole round), the feature matrix is converted
-to float64 exactly once per fit, and tree outputs are accumulated into a
-single reused score buffer via ``predict_into`` instead of allocating a
-fresh prediction array per tree.
+Hot-path layout: every round's ``n_classes`` trees are grown as one forest
+by :func:`repro.ml.tree.grow_forest` (one bookkeeping pass and one
+histogram product over the feature matrix per tree level for the whole
+round), the feature matrix is converted to float64 exactly once per fit,
+and prediction advances the ``n_classes`` trees of one round together with
+:func:`repro.ml.tree.predict_round_into`, accumulating into a single score
+buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import numpy as np
 
 from ..core.rng import RngLike, ensure_rng
 from ..exceptions import InvalidParameterError, NotFittedError
-from .tree import BinaryFeatureRegressionTree, grow_forest
+from .tree import (
+    BinaryFeatureRegressionTree,
+    _validate_hyperparameters,
+    feature_bits,
+    grow_forest,
+    predict_round_into,
+)
 from .validation import validate_feature_matrix, validate_labels
 
 
@@ -53,11 +60,11 @@ class GradientBoostingClassifier:
     tree_class:
         Base-learner class; defaults to the level-wise
         :class:`~repro.ml.tree.BinaryFeatureRegressionTree` (trained via the
-        lockstep :func:`~repro.ml.tree.grow_forest` fast path).  Any class
+        round-level :func:`~repro.ml.tree.grow_forest` fast path).  Any class
         with the same constructor and ``fit``/``predict_into`` interface —
         e.g. the recursive reference tree in :mod:`repro.ml.tree_reference`
         — can be substituted for parity testing and benchmarking; non-default
-        classes are fitted one tree at a time.
+        classes are fitted and applied one tree at a time.
     """
 
     def __init__(
@@ -77,6 +84,7 @@ class GradientBoostingClassifier:
             raise InvalidParameterError("learning_rate must be in (0, 1]")
         if not 0.0 < subsample <= 1.0:
             raise InvalidParameterError("subsample must be in (0, 1]")
+        _validate_hyperparameters(max_depth, min_samples_leaf, reg_lambda)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -88,6 +96,7 @@ class GradientBoostingClassifier:
         self._trees: list[list] = []
         self._base_scores: np.ndarray | None = None
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     # ------------------------------------------------------------------ #
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "GradientBoostingClassifier":
@@ -98,6 +107,7 @@ class GradientBoostingClassifier:
         n_samples = features.shape[0]
 
         self.n_classes_ = n_classes
+        self.n_features_in_ = features.shape[1]
         one_hot = np.zeros((n_samples, n_classes), dtype=float)
         one_hot[np.arange(n_samples), labels] = 1.0
 
@@ -108,13 +118,8 @@ class GradientBoostingClassifier:
         self._base_scores = np.log(class_priors)
 
         scores = np.tile(self._base_scores, (n_samples, 1))
-        # contiguous transpose shared by every tree's batched prediction
-        # (only needed when trees must be re-applied to the full matrix)
-        features_t = (
-            np.ascontiguousarray(features.T)
-            if self.subsample < 1.0 or self.tree_class is not BinaryFeatureRegressionTree
-            else None
-        )
+        # only subsampled rounds re-apply their trees to the full matrix
+        bits = feature_bits(features) if self.subsample < 1.0 else None
         self._trees = []
         for _ in range(self.n_estimators):
             probabilities = softmax(scores)
@@ -129,7 +134,7 @@ class GradientBoostingClassifier:
             else:
                 round_trees, leaf_ids = self._fit_round(features, gradients, hessians)
                 if leaf_ids is not None:
-                    # lockstep growth already routed every training row to
+                    # round-level growth already routed every training row to
                     # its leaf: the score update is a plain gather, no
                     # re-application of the trees to the training matrix
                     for class_index, (tree, leaves) in enumerate(
@@ -138,11 +143,7 @@ class GradientBoostingClassifier:
                         scores[:, class_index] += self.learning_rate * tree._value[leaves]
                     self._trees.append(round_trees)
                     continue
-            for class_index, tree in enumerate(round_trees):
-                tree.predict_into(
-                    features, scores[:, class_index], self.learning_rate,
-                    features_t=features_t,
-                )
+            self._predict_round_into(round_trees, features, bits, scores)
             self._trees.append(round_trees)
         return self
 
@@ -152,7 +153,7 @@ class GradientBoostingClassifier:
         """Train one boosting round: one tree per class.
 
         Returns ``(trees, leaf_ids)``; ``leaf_ids`` carries each training
-        row's leaf per tree on the lockstep fast path and is ``None`` for
+        row's leaf per tree on the round-level fast path and is ``None`` for
         substituted tree classes (which are fitted one tree at a time).
         """
         if self.tree_class is BinaryFeatureRegressionTree:
@@ -176,25 +177,41 @@ class GradientBoostingClassifier:
             round_trees.append(tree)
         return round_trees, None
 
+    def _predict_round_into(
+        self,
+        round_trees: list,
+        features: np.ndarray,
+        bits: "np.ndarray | None",
+        scores: np.ndarray,
+    ) -> None:
+        """Add one round's shrunken tree outputs to ``scores`` in place."""
+        if self.tree_class is BinaryFeatureRegressionTree:
+            predict_round_into(round_trees, bits, scores, self.learning_rate)
+            return
+        for class_index, tree in enumerate(round_trees):
+            tree.predict_into(features, scores[:, class_index], self.learning_rate)
+
     # ------------------------------------------------------------------ #
     def decision_function(self, features: np.ndarray) -> np.ndarray:
         """Raw (pre-softmax) scores for every class.
 
-        Accumulates every tree's contribution into one ``(n, n_classes)``
-        score buffer — no per-tree prediction arrays, no re-stacking.
+        Accumulates every round's contribution into one ``(n, n_classes)``
+        score buffer, one round at a time: the round's trees advance
+        together, and only one round's node indices are alive at once.
         """
         if self._base_scores is None or self.n_classes_ is None:
             raise NotFittedError("classifier is not fitted")
         features = validate_feature_matrix(features)
+        if features.shape[1] != self.n_features_in_:
+            raise InvalidParameterError(
+                f"features have {features.shape[1]} columns; "
+                f"the classifier was fitted on {self.n_features_in_}"
+            )
         scores = np.empty((features.shape[0], self.n_classes_), dtype=np.float64)
         scores[:] = self._base_scores
-        features_t = np.ascontiguousarray(features.T)
+        bits = feature_bits(features)
         for round_trees in self._trees:
-            for class_index, tree in enumerate(round_trees):
-                tree.predict_into(
-                    features, scores[:, class_index], self.learning_rate,
-                    features_t=features_t,
-                )
+            self._predict_round_into(round_trees, features, bits, scores)
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

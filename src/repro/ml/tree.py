@@ -22,13 +22,23 @@ whole frontier are chosen at once and samples are routed with boolean masks.
 
 Because that product is memory-bound on streaming ``X`` (its cost barely
 depends on the number of weight columns), :func:`grow_forest` grows many
-trees over the same feature matrix in lockstep — one shared histogram
-product per level for the whole group.  The boosting loop uses this to build
-all ``n_classes`` trees of a round with a single pass over ``X`` per level.
+trees over the same feature matrix as **one forest**: the boosting loop
+builds all ``n_classes`` trees of a round together.  Their frontiers are one
+set of stacked slot arrays with a tree-id column, and training samples are
+one int32 ``tree * n + row`` index, so each level makes a single planning,
+scatter, split-search and routing pass for the whole round and a single
+histogram product.  Each level's ``W`` has exactly the rows a per-tree
+grower would build — tree-major, and within each tree the g, h and count
+blocks of its computed slots in slot order — because single-thread BLAS is
+not row-independent bit for bit: permuting or chunking ``W``'s rows would
+change the trees.  Root totals are one 1-D sum per tree; every other stacked
+step is elementwise or a per-row ``argmax``, so the stacked pass gives the
+same bits as running one grower per tree over the same histogram products.
 
 Fitted trees are flat ``feature/left/right/value`` arrays in breadth-first
 order, so prediction is an iterative batched node-index propagation with no
-recursion and no per-sample dispatch.
+recursion and no per-sample dispatch; :func:`predict_round_into` advances
+all trees of one round together.
 """
 
 from __future__ import annotations
@@ -49,6 +59,26 @@ def _validate_hyperparameters(
         raise InvalidParameterError("min_samples_leaf must be >= 1")
     if reg_lambda < 0:
         raise InvalidParameterError("reg_lambda must be non-negative")
+
+
+def _navigation(
+    feature: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    first_node: "np.ndarray | int" = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Child arrays in which leaves navigate to themselves.
+
+    Batched propagation then needs no per-row "is this row done" check.
+    ``first_node`` is each node's index offset: 0 for one tree, or the
+    per-node start of its tree when several trees are stacked.
+    """
+    node_ids = (np.arange(feature.size) - first_node).astype(np.int32)
+    internal = feature >= 0
+    return (
+        np.where(internal, left, node_ids).astype(np.int32),
+        np.where(internal, right, node_ids).astype(np.int32),
+    )
 
 
 class BinaryFeatureRegressionTree:
@@ -114,6 +144,8 @@ class BinaryFeatureRegressionTree:
         self._adopt(
             fitted._feature, fitted._left, fitted._right, fitted._value,
             levels=fitted._levels,
+            nav_left=fitted._nav_left,
+            nav_right=fitted._nav_right,
         )
         return self
 
@@ -124,19 +156,23 @@ class BinaryFeatureRegressionTree:
         right: np.ndarray,
         value: np.ndarray,
         levels: int,
+        nav_left: np.ndarray | None = None,
+        nav_right: np.ndarray | None = None,
     ) -> None:
-        """Install fitted flat node arrays and derive navigation helpers."""
+        """Install fitted flat node arrays and their navigation helpers.
+
+        The navigation copies are derived here unless the caller already
+        built them (the forest grower derives a whole round's at once).
+        """
         self._feature = feature
         self._left = left
         self._right = right
         self._value = value
         self._levels = levels
-        # leaves navigate to themselves, so batched propagation needs no
-        # per-row "is this row done" bookkeeping
-        node_ids = np.arange(feature.size, dtype=np.int32)
-        internal = feature >= 0
-        self._nav_left = np.where(internal, left, node_ids).astype(np.int32)
-        self._nav_right = np.where(internal, right, node_ids).astype(np.int32)
+        if nav_left is None or nav_right is None:
+            nav_left, nav_right = _navigation(feature, left, right)
+        self._nav_left = nav_left
+        self._nav_right = nav_right
 
     # ------------------------------------------------------------------ #
     def predict(
@@ -165,41 +201,16 @@ class BinaryFeatureRegressionTree:
     ) -> np.ndarray:
         """Leaf index reached by every row — iterative batched propagation.
 
-        No recursion and no per-sample dispatch: the bits of the (few)
-        features the tree actually tests are extracted into one small
-        cache-resident matrix, then every row's node index is advanced one
-        level at a time with gather/where operations.
-
-        ``features_t`` optionally supplies a C-contiguous ``features.T``;
-        callers applying many trees to the same matrix (the boosting loop)
-        pass it so each tree reads its test features from contiguous rows
-        instead of strided columns.
+        No recursion and no per-sample dispatch: every row's node index is
+        advanced one level at a time with gather/where operations (see
+        :func:`predict_round_into`).  ``features_t`` optionally supplies
+        ``features.T``, saving the transpose.
         """
         if self._feature is None:
             raise NotFittedError("tree is not fitted")
         features = validate_feature_matrix(features)
-        n = features.shape[0]
-        internal = self._feature >= 0
-        if not internal.any():
-            return np.zeros(n, dtype=np.int32)
-        used, inverse = np.unique(self._feature[internal], return_inverse=True)
-        # bit matrix of the tested features only: (n_used, n) fits in cache
-        if features_t is not None:
-            bits = features_t[used] > 0.5
-        else:
-            bits = (features[:, used] > 0.5).T
-        # row into ``bits`` per node (leaves keep a harmless 0)
-        bit_row = np.zeros(self._feature.size, dtype=np.int32)
-        bit_row[internal] = inverse.astype(np.int32)
-
-        node = np.zeros(n, dtype=np.int32)
-        sample = np.arange(n, dtype=np.int64)
-        # leaves self-loop in the navigation arrays, so exactly levels - 1
-        # hops land every row at its leaf
-        for _ in range(self._levels - 1):
-            goes_right = bits[bit_row[node], sample]
-            node = np.where(goes_right, self._nav_right[node], self._nav_left[node])
-        return node
+        bits = feature_bits(features) if features_t is None else features_t > 0.5
+        return _round_leaves([self], bits)[0].astype(np.int32)
 
     # ------------------------------------------------------------------ #
     @property
@@ -224,292 +235,96 @@ class BinaryFeatureRegressionTree:
         }
 
 
+
+
 # --------------------------------------------------------------------------- #
-# lockstep level-wise growth
+# round-level growth: every tree of the group in one stacked frontier
 # --------------------------------------------------------------------------- #
-class _TreeGrower:
-    """Level-wise growth state of one tree inside a lockstep group.
+#: Upper bound on the elements of each ``(rows, F)`` temporary of the split
+#: search; the stacked frontier is scored in row blocks of this size, so the
+#: search's scratch memory does not grow with the number of trees.
+_SCORE_BLOCK_ELEMENTS = 16384
 
-    The driver (:func:`grow_forest`) calls ``begin_level`` on every grower to
-    learn how many weight columns it needs, builds one shared weight matrix,
-    runs the single ``X^T W`` histogram product and hands each grower its
-    column block via ``finish_level``.
 
-    Two classic histogram tricks keep the per-level work small:
+def _score(
+    grad: np.ndarray,
+    hess: np.ndarray,
+    reg_lambda: float,
+    out: np.ndarray | None = None,
+    denominator: np.ndarray | None = None,
+    not_positive: np.ndarray | None = None,
+) -> np.ndarray:
+    """XGBoost-style structure score ``G^2 / (H + lambda)``, 0 where
+    ``H + lambda`` is not positive.
 
-    * **sibling subtraction** — when both children of a split need
-      histograms, only the smaller child's is computed; the sibling's is the
-      parent's histogram minus it, so levels past the root scatter/multiply
-      roughly half of the frontier's samples;
-    * **derived totals** — each child's gradient/hessian/count totals are
-      read off the parent's histogram at the chosen split feature (ones
-      branch) or derived by subtraction (zeros branch), so no per-level
-      ``bincount`` passes over the samples are needed.
-
-    Counts are integer-valued and below 2**53, so every subtraction above is
-    exact; gradient/hessian subtractions differ from direct summation only
-    in floating-point rounding order.
+    ``out``, ``denominator`` and ``not_positive`` are optional scratch
+    buffers of ``grad``'s shape (the last one boolean).
     """
+    if out is None or denominator is None or not_positive is None:
+        out, denominator = np.empty(grad.shape), np.empty(grad.shape)
+        not_positive = np.empty(grad.shape, dtype=bool)
+    np.add(hess, reg_lambda, out=denominator)
+    np.multiply(grad, grad, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, denominator, out=out)
+    np.greater(denominator, 0, out=not_positive)
+    np.logical_not(not_positive, out=not_positive)
+    np.copyto(out, 0.0, where=not_positive)
+    return out
 
-    def __init__(
-        self,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
-        max_depth: int,
-        min_samples_leaf: int,
-        reg_lambda: float,
-        min_gain: float,
-    ) -> None:
-        self.gradients = gradients
-        self.hessians = hessians
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.reg_lambda = reg_lambda
-        self.min_gain = min_gain
-        n = gradients.shape[0]
-        self.rows = np.arange(n)  # active samples (original row indices)
-        self.slot = np.zeros(n, dtype=np.int64)  # frontier slot per active sample
-        self.n_slots = 1
-        # root totals are the only ones computed by direct summation
-        self.grad_tot = np.asarray([gradients.sum()])
-        self.hess_tot = np.asarray([hessians.sum()])
-        self.count_tot = np.asarray([float(n)])
-        # histograms of the previous level's splitting slots, (n_split, F)
-        self.parent_hist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.next_node = 1  # node 0 is the root
-        self.frontier_first = 0  # node index of this level's first slot
-        self.done = False
-        # leaf node reached by every training sample, filled as samples are
-        # retired; lets the boosting loop skip re-applying the tree to the
-        # training matrix entirely
-        self.leaf_of = np.empty(n, dtype=np.int32)
-        self.feature_parts: list[np.ndarray] = []
-        self.left_parts: list[np.ndarray] = []
-        self.right_parts: list[np.ndarray] = []
-        self.value_parts: list[np.ndarray] = []
 
-    # -- per-level protocol --------------------------------------------------
-    def begin_level(self, depth: int) -> int:
-        """Leaf decisions + histogram planning; returns weight rows needed."""
-        if self.done:
-            return 0
-        self.frontier_first = self.next_node - self.n_slots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.leaf_value = -self.grad_tot / (self.hess_tot + self.reg_lambda)
-        self.node_feature = np.full(self.n_slots, -1, dtype=np.int32)
-        self.node_left = np.full(self.n_slots, -1, dtype=np.int32)
-        self.node_right = np.full(self.n_slots, -1, dtype=np.int32)
+def _best_splits(
+    grad_ones: np.ndarray,
+    hess_ones: np.ndarray,
+    count_ones: np.ndarray,
+    grad_tot: np.ndarray,
+    hess_tot: np.ndarray,
+    count_tot: np.ndarray,
+    min_samples_leaf: int,
+    reg_lambda: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best feature per frontier row and its children's score sum.
 
-        can_split = self.count_tot >= 2 * self.min_samples_leaf
-        if depth >= self.max_depth or not can_split.any():
-            self.leaf_of[self.rows] = self.frontier_first + self.slot
-            self._emit_level()
-            self.done = True
-            return 0
-
-        # drop samples sitting in slots that are already leaves (recording
-        # their leaf) and renumber the remaining splittable slots compactly
-        keep = can_split[self.slot]
-        if not keep.all():
-            dropped = self.rows[~keep]
-            self.leaf_of[dropped] = self.frontier_first + self.slot[~keep]
-        self.rows = self.rows[keep]
-        sub_of_slot = np.cumsum(can_split) - 1
-        self.sub = sub_of_slot[self.slot[keep]]
-        self.n_sub = int(can_split.sum())
-        self.can_split = can_split
-        self.sub_of_slot = sub_of_slot
-        self.grad_sub = self.grad_tot[can_split]
-        self.hess_sub = self.hess_tot[can_split]
-        self.count_sub = self.count_tot[can_split]
-
-        # choose which splittable slots get a computed histogram: the root
-        # always does; otherwise a slot computes unless its sibling is also
-        # splittable and strictly smaller (ties computed on the left child),
-        # in which case its histogram is derived as parent minus sibling
-        slots = np.flatnonzero(can_split)
-        if self.parent_hist is None:
-            computed = np.ones(slots.size, dtype=bool)
-        else:
-            siblings = slots ^ 1
-            sibling_splittable = can_split[siblings]
-            own_count = self.count_tot[slots]
-            sibling_count = self.count_tot[siblings]
-            computed = ~sibling_splittable | (
-                (own_count < sibling_count)
-                | ((own_count == sibling_count) & (slots % 2 == 0))
-            )
-        self.computed = computed
-        self.n_comp = int(computed.sum())
-        # compact column index among computed slots, indexed by sub
-        comp_of_sub = np.cumsum(computed) - 1
-        self.comp_of_sub = comp_of_sub
-        return 3 * self.n_comp
-
-    def scatter(self, weights_t: np.ndarray, offset: int) -> None:
-        """Write the ``(g, h, 1)`` row triples of computed slots.
-
-        ``weights_t`` is the transposed ``(rows, n)`` weight buffer — one row
-        per histogram column — so the per-sample writes land in a few
-        contiguous rows instead of striding across a wide matrix.
-        """
-        if self.n_comp == self.n_sub:
-            rows, comp = self.rows, self.sub
-        else:
-            mask = self.computed[self.sub]
-            rows = self.rows[mask]
-            comp = self.comp_of_sub[self.sub[mask]]
-        if self.n_comp == 1 and rows.size == self.gradients.shape[0]:
-            # root level: plain contiguous copies
-            weights_t[offset] = self.gradients
-            weights_t[offset + 1] = self.hessians
-            weights_t[offset + 2] = 1.0
-            return
-        weights_t[offset + comp, rows] = self.gradients[rows]
-        weights_t[offset + self.n_comp + comp, rows] = self.hessians[rows]
-        weights_t[offset + 2 * self.n_comp + comp, rows] = 1.0
-
-    def finish_level(self, hist: np.ndarray, features64: np.ndarray) -> None:
-        """Assemble full histograms, pick splits and route the samples.
-
-        ``hist`` is this tree's ``(3 * n_comp, F)`` block of the shared
-        histogram product, one row per computed slot triple.
-        """
-        n_sub, n_comp = self.n_sub, self.n_comp
-        feature_count = hist.shape[1]
-        grad_ones = np.empty((n_sub, feature_count))
-        hess_ones = np.empty((n_sub, feature_count))
-        count_ones = np.empty((n_sub, feature_count))
-        comp_sub = np.flatnonzero(self.computed)
-        grad_ones[comp_sub] = hist[:n_comp]
-        hess_ones[comp_sub] = hist[n_comp : 2 * n_comp]
-        count_ones[comp_sub] = hist[2 * n_comp :]
-        derived_sub = np.flatnonzero(~self.computed)
-        if derived_sub.size:
-            # parent minus (already-filled) computed sibling
-            slots = np.flatnonzero(self.can_split)
-            derived_slots = slots[derived_sub]
-            sibling_sub = self.sub_of_slot[derived_slots ^ 1]
-            pair = derived_slots // 2
-            parent_grad, parent_hess, parent_count = self.parent_hist
-            grad_ones[derived_sub] = parent_grad[pair] - grad_ones[sibling_sub]
-            hess_ones[derived_sub] = parent_hess[pair] - hess_ones[sibling_sub]
-            count_ones[derived_sub] = parent_count[pair] - count_ones[sibling_sub]
-
-        grad_zeros = self.grad_sub[:, None] - grad_ones
-        hess_zeros = self.hess_sub[:, None] - hess_ones
-        count_zeros = self.count_sub[:, None] - count_ones
-
-        # the parent score is constant per slot, so the argmax over features
-        # only needs the children's score sum; the parent term re-enters in
-        # the min_gain threshold below
-        score_sum = self._score(grad_ones, hess_ones) + self._score(
-            grad_zeros, hess_zeros
-        )
-        valid = (count_ones >= self.min_samples_leaf) & (
-            count_zeros >= self.min_samples_leaf
-        )
-        score_sum = np.where(valid, score_sum, -np.inf)
-        best_feature = np.argmax(score_sum, axis=1)  # first max wins, per slot
-        arange_sub = np.arange(n_sub)
-        best_gain = 0.5 * (
-            score_sum[arange_sub, best_feature]
-            - self._score(self.grad_sub, self.hess_sub)
-        )
-        split = np.isfinite(best_gain) & (best_gain >= self.min_gain)
-
-        n_split = int(split.sum())
-        if n_split:
-            # children of the j-th splitting slot (in slot order) get the
-            # next-frontier slots (2j, 2j+1) and consecutive node indices
-            split_rank = np.cumsum(split) - 1
-            split_slots = np.flatnonzero(self.can_split)[split]
-            self.node_feature[split_slots] = best_feature[split]
-            self.node_left[split_slots] = self.next_node + 2 * split_rank[split]
-            self.node_right[split_slots] = self.next_node + 2 * split_rank[split] + 1
-            self.next_node += 2 * n_split
-        self._emit_level()
-
-        # retire the samples of non-splitting slots at their (leaf) node
-        keep = split[self.sub]
-        if not keep.all():
-            slots = np.flatnonzero(self.can_split)
-            dropped = ~keep
-            self.leaf_of[self.rows[dropped]] = (
-                self.frontier_first + slots[self.sub[dropped]]
-            )
-        if not n_split:
-            self.done = True
-            return
-
-        # next level's totals come straight off the split histograms: the
-        # ones branch (right child) is the histogram at the split feature,
-        # the zeros branch (left child) follows by subtraction
-        split_sub = np.flatnonzero(split)
-        split_feature = best_feature[split]
-        arange_split = np.arange(n_split)
-        right_grad = grad_ones[split_sub, split_feature]
-        right_hess = hess_ones[split_sub, split_feature]
-        right_count = count_ones[split_sub, split_feature]
-        next_grad = np.empty(2 * n_split)
-        next_hess = np.empty(2 * n_split)
-        next_count = np.empty(2 * n_split)
-        next_grad[2 * arange_split] = self.grad_sub[split_sub] - right_grad
-        next_grad[2 * arange_split + 1] = right_grad
-        next_hess[2 * arange_split] = self.hess_sub[split_sub] - right_hess
-        next_hess[2 * arange_split + 1] = right_hess
-        next_count[2 * arange_split] = self.count_sub[split_sub] - right_count
-        next_count[2 * arange_split + 1] = right_count
-        self.grad_tot, self.hess_tot, self.count_tot = next_grad, next_hess, next_count
-        self.parent_hist = (
-            grad_ones[split_sub],
-            hess_ones[split_sub],
-            count_ones[split_sub],
-        )
-
-        # route the samples of splitting slots to their children; each child
-        # holds >= min_samples_leaf samples by the validity mask above
-        self.rows = self.rows[keep]
-        sub = self.sub[keep]
-        goes_right = features64[self.rows, best_feature[sub]] > 0.5
-        self.slot = 2 * split_rank[sub] + goes_right
-        self.n_slots = 2 * n_split
-
-    # -- helpers -------------------------------------------------------------
-    def _emit_level(self) -> None:
-        self.feature_parts.append(self.node_feature)
-        self.left_parts.append(self.node_left)
-        self.right_parts.append(self.node_right)
-        self.value_parts.append(self.leaf_value)
-
-    def _score(self, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-        """XGBoost-style structure score ``G^2 / (H + lambda)``."""
-        denominator = hess + self.reg_lambda
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = grad * grad / denominator
-        return np.where(denominator > 0, value, 0.0)
-
-    def build_tree(
-        self,
-        max_depth: int,
-        min_samples_leaf: int,
-        reg_lambda: float,
-        min_gain: float,
-    ) -> BinaryFeatureRegressionTree:
-        tree = BinaryFeatureRegressionTree(
-            max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
-            reg_lambda=reg_lambda,
-            min_gain=min_gain,
-        )
-        tree._adopt(
-            np.concatenate(self.feature_parts),
-            np.concatenate(self.left_parts),
-            np.concatenate(self.right_parts),
-            np.concatenate(self.value_parts),
-            levels=len(self.feature_parts),
-        )
-        return tree
+    Row ``i`` is one splittable node: ``*_ones`` hold its ``feature == 1``
+    branch histograms and ``*_tot`` its totals, so the ``feature == 0``
+    branch follows by subtraction.  Splits leaving fewer than
+    ``min_samples_leaf`` samples on either side score ``-inf``; the first
+    maximal feature wins.  Every operation is elementwise or a per-row
+    ``argmax``, so scoring in row blocks gives the same bits as scoring
+    the whole frontier at once.
+    """
+    n_rows, feature_count = grad_ones.shape
+    block = max(1, min(n_rows, _SCORE_BLOCK_ELEMENTS // max(feature_count, 1)))
+    ones_score = np.empty((block, feature_count))
+    zeros_score = np.empty((block, feature_count))
+    grad_zeros = np.empty((block, feature_count))
+    hess_zeros = np.empty((block, feature_count))
+    denominator = np.empty((block, feature_count))
+    mask = np.empty((block, feature_count), dtype=bool)
+    other_mask = np.empty((block, feature_count), dtype=bool)
+    best_feature = np.empty(n_rows, dtype=np.intp)
+    best_score = np.empty(n_rows)
+    for start in range(0, n_rows, block):
+        rows = slice(start, min(start + block, n_rows))
+        size = rows.stop - start
+        score_sum, scratch = ones_score[:size], zeros_score[:size]
+        zeros_g, zeros_h = grad_zeros[:size], hess_zeros[:size]
+        denom, invalid, other = denominator[:size], mask[:size], other_mask[:size]
+        _score(grad_ones[rows], hess_ones[rows], reg_lambda, score_sum, denom, invalid)
+        np.subtract(grad_tot[rows, None], grad_ones[rows], out=zeros_g)
+        np.subtract(hess_tot[rows, None], hess_ones[rows], out=zeros_h)
+        _score(zeros_g, zeros_h, reg_lambda, scratch, denom, invalid)
+        np.add(score_sum, scratch, out=score_sum)
+        count_zeros = np.subtract(count_tot[rows, None], count_ones[rows], out=zeros_g)
+        np.greater_equal(count_ones[rows], min_samples_leaf, out=invalid)
+        np.greater_equal(count_zeros, min_samples_leaf, out=other)
+        np.logical_and(invalid, other, out=invalid)
+        np.logical_not(invalid, out=invalid)
+        np.copyto(score_sum, -np.inf, where=invalid)
+        best = np.argmax(score_sum, axis=1)
+        best_feature[rows] = best
+        best_score[rows] = score_sum[np.arange(size), best]
+    return best_feature, best_score
 
 
 def grow_forest(
@@ -522,13 +337,14 @@ def grow_forest(
     min_gain: float = 1e-6,
     return_leaf_ids: bool = False,
 ) -> "list[BinaryFeatureRegressionTree] | tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]":
-    """Grow one tree per column of ``gradients``/``hessians`` in lockstep.
+    """Grow one tree per column of ``gradients``/``hessians`` as one forest.
 
-    All trees share the same ``(n, F)`` feature matrix; their per-level
-    histograms are computed by a single ``X^T W`` product over the original
-    matrix (one streaming pass over ``X`` per level for the whole group, no
-    per-node row copies).  The boosting loop calls this with the ``(n,
-    n_classes)`` gradient/hessian matrices of one round.
+    All trees share the same ``(n, F)`` feature matrix.  Their frontiers are
+    stacked into one set of slot arrays with a tree-id column, so each level
+    makes one planning, scatter, split-search and routing pass for the whole
+    group, and one ``X^T W`` histogram product over the original matrix.
+    The boosting loop calls this with the ``(n, n_classes)``
+    gradient/hessian matrices of one round.
 
     Each returned tree is identical to fitting a
     :class:`BinaryFeatureRegressionTree` on its column alone.
@@ -551,46 +367,304 @@ def grow_forest(
     # in float64, so this single conversion is the only copy of the feature
     # matrix made while growing the whole group
     features64 = np.asarray(features, dtype=np.float64)
-
-    n = features64.shape[0]
-    # one contiguous gradient/hessian vector per tree
+    n, feature_count = features64.shape
+    # routing reads one feature per sample: a flat gather is cheaper than
+    # 2-D fancy indexing
+    features_flat = features64.ravel()
+    # one contiguous gradient/hessian vector per tree; a training sample of
+    # tree t is addressed as ``t * n + row`` in the flattened views
     gradients_t = np.ascontiguousarray(gradients.T)
     hessians_t = np.ascontiguousarray(hessians.T)
-    growers = [
-        _TreeGrower(
-            gradients_t[t],
-            hessians_t[t],
-            max_depth,
-            min_samples_leaf,
-            reg_lambda,
-            min_gain,
-        )
-        for t in range(gradients_t.shape[0])
-    ]
-    weights_t = np.empty((0, n))  # reused transposed weight buffer
+    n_trees = gradients_t.shape[0]
+    gradients_flat = gradients_t.reshape(-1)
+    hessians_flat = hessians_t.reshape(-1)
+    leaf_of = np.empty((n_trees, n), dtype=np.int32)
+    leaf_flat = leaf_of.reshape(-1)
+
+    # the stacked frontier: one entry per (tree, slot), trees in order and
+    # each tree's slots contiguous.  From depth 1 on, the children of the
+    # j-th splitting slot (counted over the whole forest) sit at slots
+    # (2j, 2j+1), so ``slot ^ 1`` is the sibling and ``slot // 2`` the
+    # parent's row in ``parent_hist``
+    slot_tree = np.arange(n_trees)
+    slot_node = np.zeros(n_trees, dtype=np.int64)  # node index within its tree
+    # root totals are the only ones computed by direct summation, one 1-D
+    # sum per tree
+    grad_tot = np.asarray([column.sum() for column in gradients_t], dtype=np.float64)
+    hess_tot = np.asarray([column.sum() for column in hessians_t], dtype=np.float64)
+    count_tot = np.full(n_trees, float(n))
+    next_node = np.ones(n_trees, dtype=np.int64)  # node 0 is every root
+    # active samples as one ``tree * n + row`` index, and their slots
+    member_dtype = np.int32 if max(n_trees, feature_count) * n < 2**31 else np.int64
+    member = np.arange(n_trees * n, dtype=member_dtype)
+    member_slot = np.repeat(np.arange(n_trees, dtype=member_dtype), n)
+    # histograms of the previous level's splitting slots, (n_split, F)
+    parent_hist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    levels: list[tuple[np.ndarray, ...]] = []
+
     for depth in range(max_depth + 1):
-        rows_needed = [grower.begin_level(depth) for grower in growers]
-        total = sum(rows_needed)
-        if total == 0:
+        if slot_tree.size == 0:
             break
-        if weights_t.shape[0] < total:
-            weights_t = np.empty((total, n))
-        weights_t[:total] = 0.0
-        offset = 0
-        for grower, rows in zip(growers, rows_needed):
-            if rows:
-                grower.scatter(weights_t, offset)
-            offset += rows
-        hist = get_backend().histogram_product(weights_t[:total], features64)  # (total, F)
-        offset = 0
-        for grower, rows in zip(growers, rows_needed):
-            if rows:
-                grower.finish_level(hist[offset : offset + rows], features64)
-            offset += rows
-    trees = [
-        grower.build_tree(max_depth, min_samples_leaf, reg_lambda, min_gain)
-        for grower in growers
-    ]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            leaf_value = -grad_tot / (hess_tot + reg_lambda)
+        node_feature = np.full(slot_tree.size, -1, dtype=np.int32)
+        node_left = np.full(slot_tree.size, -1, dtype=np.int32)
+        node_right = np.full(slot_tree.size, -1, dtype=np.int32)
+        levels.append((slot_tree, node_feature, node_left, node_right, leaf_value))
+
+        can_split = count_tot >= 2 * min_samples_leaf
+        if depth >= max_depth:
+            can_split[:] = False
+        # retire the samples of slots that are already leaves at their node
+        keep = can_split[member_slot]
+        if not keep.all():
+            retired = ~keep
+            leaf_flat[member[retired]] = slot_node[member_slot[retired]]
+            member, member_slot = member[keep], member_slot[keep]
+        if member.size == 0:
+            break
+
+        # splittable slots get compact "sub" numbers; choose which compute a
+        # histogram: the roots always do; otherwise a slot computes unless
+        # its sibling is also splittable and strictly smaller (ties computed
+        # on the left child), and its histogram is parent minus sibling
+        split_slots = np.flatnonzero(can_split)
+        sub_of_slot = np.cumsum(can_split, dtype=member_dtype) - 1
+        member_sub = sub_of_slot[member_slot]
+        sub_tree = slot_tree[split_slots]
+        grad_sub = grad_tot[split_slots]
+        hess_sub = hess_tot[split_slots]
+        count_sub = count_tot[split_slots]
+        if parent_hist is None:
+            computed = np.ones(split_slots.size, dtype=bool)
+        else:
+            siblings = split_slots ^ 1
+            own_count = count_tot[split_slots]
+            sibling_count = count_tot[siblings]
+            computed = ~can_split[siblings] | (
+                (own_count < sibling_count)
+                | ((own_count == sibling_count) & (split_slots % 2 == 0))
+            )
+
+        # weight rows: tree-major, and within each tree the g, h and count
+        # blocks of its computed slots in slot order.  BLAS results are not
+        # row-independent bit for bit, so this layout is part of the contract
+        comp_sub = np.flatnonzero(computed)
+        comp_tree = sub_tree[comp_sub]
+        n_comp = np.bincount(comp_tree, minlength=n_trees)
+        comp_first = np.cumsum(n_comp) - n_comp
+        grad_row = 2 * comp_first[comp_tree] + np.arange(comp_sub.size)
+        hess_row = grad_row + n_comp[comp_tree]
+        count_row = hess_row + n_comp[comp_tree]
+        # each level's (transposed) weight matrix lives only until its
+        # product is taken, so it never coexists with the split search
+        if parent_hist is None:
+            # roots: plain contiguous copies, one (g, h, 1) triple per tree
+            weights = np.empty((3 * n_trees, n))
+            blocks = weights.reshape(n_trees, 3, n)
+            blocks[:, 0] = gradients_t
+            blocks[:, 1] = hessians_t
+            blocks[:, 2] = 1.0
+        else:
+            weights = np.zeros((3 * comp_sub.size, n))
+            # flat offset of each computed slot's g row, and the distance
+            # from there to its h row and from that to its count row
+            g_offset = np.zeros(split_slots.size, dtype=np.int64)
+            g_offset[comp_sub] = grad_row * n
+            block_offset = n_comp[sub_tree] * n
+            comp_members = computed[member_sub]
+            scattered = member[comp_members]
+            target_sub = member_sub[comp_members]
+            target = g_offset[target_sub] + scattered % n
+            step = block_offset[target_sub]
+            weights_flat = weights.reshape(-1)
+            weights_flat[target] = gradients_flat[scattered]
+            target += step
+            weights_flat[target] = hessians_flat[scattered]
+            target += step
+            weights_flat[target] = 1.0
+        hist = get_backend().histogram_product(weights, features64)  # (rows, F)
+        del weights
+
+        grad_ones = np.empty((split_slots.size, feature_count))
+        hess_ones = np.empty((split_slots.size, feature_count))
+        count_ones = np.empty((split_slots.size, feature_count))
+        grad_ones[comp_sub] = hist[grad_row]
+        hess_ones[comp_sub] = hist[hess_row]
+        count_ones[comp_sub] = hist[count_row]
+        del hist
+        derived_sub = np.flatnonzero(~computed)
+        if derived_sub.size:
+            # parent minus (already-filled) computed sibling
+            derived_slots = split_slots[derived_sub]
+            sibling_sub = sub_of_slot[derived_slots ^ 1]
+            pair = derived_slots // 2
+            parent_grad, parent_hess, parent_count = parent_hist
+            grad_ones[derived_sub] = parent_grad[pair] - grad_ones[sibling_sub]
+            hess_ones[derived_sub] = parent_hess[pair] - hess_ones[sibling_sub]
+            count_ones[derived_sub] = parent_count[pair] - count_ones[sibling_sub]
+
+        # the parent score is constant per slot, so the argmax over features
+        # only needs the children's score sum; the parent term re-enters in
+        # the min_gain threshold
+        best_feature, best_score = _best_splits(
+            grad_ones, hess_ones, count_ones, grad_sub, hess_sub, count_sub,
+            min_samples_leaf, reg_lambda,
+        )
+        best_gain = 0.5 * (best_score - _score(grad_sub, hess_sub, reg_lambda))
+        split = np.isfinite(best_gain) & (best_gain >= min_gain)
+
+        # retire the samples of non-splitting slots at their (leaf) node
+        keep = split[member_sub]
+        if not keep.all():
+            retired = ~keep
+            leaf_flat[member[retired]] = slot_node[member_slot[retired]]
+        split_sub = np.flatnonzero(split)
+        n_split = split_sub.size
+        if not n_split:
+            break
+
+        # children of a tree's j-th splitting slot get consecutive node
+        # indices after the tree's last one
+        parent_slots = split_slots[split_sub]
+        split_tree = slot_tree[parent_slots]
+        n_split_tree = np.bincount(split_tree, minlength=n_trees)
+        split_first = np.cumsum(n_split_tree) - n_split_tree
+        left_child = next_node[split_tree] + 2 * (np.arange(n_split) - split_first[split_tree])
+        split_feature = best_feature[split_sub]
+        node_feature[parent_slots] = split_feature
+        node_left[parent_slots] = left_child
+        node_right[parent_slots] = left_child + 1
+        next_node += 2 * n_split_tree
+
+        # next level's totals come straight off the split histograms: the
+        # ones branch (right child) is the histogram at the split feature,
+        # the zeros branch (left child) follows by subtraction
+        right_grad = grad_ones[split_sub, split_feature]
+        right_hess = hess_ones[split_sub, split_feature]
+        right_count = count_ones[split_sub, split_feature]
+        grad_tot = np.empty(2 * n_split)
+        hess_tot = np.empty(2 * n_split)
+        count_tot = np.empty(2 * n_split)
+        grad_tot[0::2] = grad_sub[split_sub] - right_grad
+        grad_tot[1::2] = right_grad
+        hess_tot[0::2] = hess_sub[split_sub] - right_hess
+        hess_tot[1::2] = right_hess
+        count_tot[0::2] = count_sub[split_sub] - right_count
+        count_tot[1::2] = right_count
+        parent_hist = (grad_ones[split_sub], hess_ones[split_sub], count_ones[split_sub])
+        del grad_ones, hess_ones, count_ones
+        slot_tree = np.repeat(split_tree, 2)
+        slot_node = np.empty(2 * n_split, dtype=np.int64)
+        slot_node[0::2] = left_child
+        slot_node[1::2] = left_child + 1
+
+        # route the samples of splitting slots to their children; each child
+        # holds >= min_samples_leaf samples by the validity mask
+        member, member_sub = member[keep], member_sub[keep]
+        split_rank = np.cumsum(split, dtype=member_dtype) - 1
+        bit_index = member % n
+        bit_index *= feature_count
+        bit_index += best_feature[member_sub]
+        goes_right = features_flat[bit_index] > 0.5
+        member_slot = 2 * split_rank[member_sub] + goes_right
+
+    trees = _unstack_trees(levels, n_trees, max_depth, min_samples_leaf, reg_lambda, min_gain)
     if return_leaf_ids:
-        return trees, [grower.leaf_of for grower in growers]
+        return trees, list(leaf_of)
     return trees
+
+
+def _unstack_trees(
+    levels: list[tuple[np.ndarray, ...]],
+    n_trees: int,
+    max_depth: int,
+    min_samples_leaf: int,
+    reg_lambda: float,
+    min_gain: float,
+) -> list[BinaryFeatureRegressionTree]:
+    """Split the stacked per-level node arrays into one tree per tree id.
+
+    Within a tree, levels in order and slots in slot order are exactly its
+    breadth-first node order.
+    """
+    if not n_trees:
+        return []
+    node_tree = np.concatenate([level[0] for level in levels])
+    order = np.argsort(node_tree, kind="stable")
+    sizes = np.bincount(node_tree, minlength=n_trees)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    feature, left, right, value = (
+        np.concatenate([level[k] for level in levels])[order] for k in range(1, 5)
+    )
+    nav_left, nav_right = _navigation(feature, left, right, np.repeat(starts, sizes))
+    level_counts = sum(
+        np.bincount(level[0], minlength=n_trees) > 0 for level in levels
+    )
+    trees = []
+    for t, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        nodes = slice(start, stop)
+        tree = BinaryFeatureRegressionTree(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            reg_lambda=reg_lambda,
+            min_gain=min_gain,
+        )
+        tree._adopt(
+            feature[nodes], left[nodes], right[nodes], value[nodes],
+            levels=int(level_counts[t]),
+            nav_left=nav_left[nodes],
+            nav_right=nav_right[nodes],
+        )
+        trees.append(tree)
+    return trees
+
+
+def feature_bits(features: np.ndarray) -> np.ndarray:
+    """C-contiguous ``(F, n)`` boolean matrix ``features.T > 0.5``."""
+    return np.ascontiguousarray((features > 0.5).T)
+
+
+def _round_leaves(
+    trees: "list[BinaryFeatureRegressionTree]", bits: np.ndarray
+) -> np.ndarray:
+    """Node reached by every row in every tree, as ``(n_trees, n)`` indices
+    into the trees' node arrays stacked in order.
+
+    ``bits`` is ``features.T > 0.5``.  The navigation arrays are stacked
+    with per-tree node offsets, so one node-index array advances every row
+    of every tree one level per step; leaves navigate to themselves, so the
+    deepest tree's level count bounds the steps.
+    """
+    sizes = [tree._feature.size for tree in trees]
+    first = np.cumsum(sizes) - sizes
+    offsets = np.repeat(first, sizes)
+    feature = np.concatenate([tree._feature for tree in trees])
+    # row of ``bits`` tested at each node (leaves keep a harmless 0)
+    test_row = np.where(feature >= 0, feature, 0)
+    nav_left = np.concatenate([tree._nav_left for tree in trees]) + offsets
+    nav_right = np.concatenate([tree._nav_right for tree in trees]) + offsets
+    sample = np.arange(bits.shape[1])
+    node = np.broadcast_to(first[:, None], (len(trees), sample.size))
+    for _ in range(max(tree._levels for tree in trees) - 1):
+        goes_right = bits[test_row[node], sample]
+        node = np.where(goes_right, nav_right[node], nav_left[node])
+    return node
+
+
+def predict_round_into(
+    trees: "list[BinaryFeatureRegressionTree]",
+    bits: np.ndarray,
+    out: np.ndarray,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Add ``scale * trees[t].predict(features)`` to ``out[:, t]`` for every tree.
+
+    ``bits`` is :func:`feature_bits` of the rows, shared by every call on
+    them.  The boosting model calls this once per round: the round's trees
+    advance together instead of one ``apply`` per tree.
+    """
+    value = np.concatenate([tree._value for tree in trees])
+    out += (scale * value[_round_leaves(trees, bits)]).T
+    return out

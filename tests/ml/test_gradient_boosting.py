@@ -1,8 +1,14 @@
 """Tests for the multiclass gradient-boosting classifier."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.ml.gradient_boosting import GradientBoostingClassifier, softmax
 from repro.ml.metrics import accuracy_score
@@ -80,6 +86,52 @@ class TestClassifier:
         with pytest.raises(InvalidParameterError):
             GradientBoostingClassifier(subsample=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(max_depth=0), dict(min_samples_leaf=0), dict(reg_lambda=-0.5)],
+        ids=["max_depth", "min_samples_leaf", "reg_lambda"],
+    )
+    def test_tree_hyperparameters_rejected_at_construction(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            GradientBoostingClassifier(**kwargs)
+
+    @pytest.mark.parametrize("width", [11, 13])
+    def test_wrong_feature_width_rejected(self, width):
+        features, labels = make_multiclass_problem(n=300)
+        model = GradientBoostingClassifier(n_estimators=3, rng=0).fit(features, labels)
+        wrong = np.zeros((4, width), dtype=np.float32)
+        for method in (model.predict, model.predict_proba, model.decision_function):
+            with pytest.raises(InvalidParameterError, match="columns"):
+                method(wrong)
+        assert model.n_features_in_ == 12
+
     def test_single_class_rejected(self):
         with pytest.raises(InvalidParameterError):
             GradientBoostingClassifier().fit(np.zeros((10, 2)), np.zeros(10, dtype=int))
+
+
+def test_fit_and_predict_do_not_import_numpy_ma():
+    """``numpy.ma`` costs about 1 MiB of resident memory per process; some
+    numpy helpers (e.g. ``np.unique`` without ``return_inverse``) import it.
+
+    The probe pins the default NumPy kernels: what an optional compiled
+    backend imports for itself is not the package's doing.
+    """
+    probe = (
+        "import sys, numpy as np, repro; "
+        "from repro.ml import GradientBoostingClassifier; "
+        "rng = np.random.default_rng(0); "
+        "x = (rng.random((200, 8)) < 0.5).astype(np.float32); "
+        "y = rng.integers(0, 3, size=200); "
+        "GradientBoostingClassifier(n_estimators=3, rng=0).fit(x, y).predict_proba(x); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src, "REPRO_KERNEL_BACKEND": "numpy"},
+    ).stdout.strip()
+    assert loaded == "False"
