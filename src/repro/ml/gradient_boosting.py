@@ -118,8 +118,6 @@ class GradientBoostingClassifier:
         self._base_scores = np.log(class_priors)
 
         scores = np.tile(self._base_scores, (n_samples, 1))
-        # only subsampled rounds re-apply their trees to the full matrix
-        bits = feature_bits(features) if self.subsample < 1.0 else None
         self._trees = []
         for _ in range(self.n_estimators):
             probabilities = softmax(scores)
@@ -143,7 +141,9 @@ class GradientBoostingClassifier:
                         scores[:, class_index] += self.learning_rate * tree._value[leaves]
                     self._trees.append(round_trees)
                     continue
-            self._predict_round_into(round_trees, features, bits, scores)
+            # without training leaf ids (a subsampled round or a substituted
+            # tree class) the round's trees are re-applied to the full matrix
+            self._predict_rounds_into([round_trees], features, scores)
             self._trees.append(round_trees)
         return self
 
@@ -177,19 +177,25 @@ class GradientBoostingClassifier:
             round_trees.append(tree)
         return round_trees, None
 
-    def _predict_round_into(
-        self,
-        round_trees: list,
-        features: np.ndarray,
-        bits: "np.ndarray | None",
-        scores: np.ndarray,
+    def _predict_rounds_into(
+        self, rounds: list[list], features: np.ndarray, scores: np.ndarray
     ) -> None:
-        """Add one round's shrunken tree outputs to ``scores`` in place."""
+        """Add the shrunken tree outputs of ``rounds`` to ``scores`` in place.
+
+        The default trees advance one round at a time over bits of the
+        columns any of them tests, built once; only one round's node
+        indices are alive at once.
+        """
         if self.tree_class is BinaryFeatureRegressionTree:
-            predict_round_into(round_trees, bits, scores, self.learning_rate)
+            bits, bit_row = feature_bits(
+                features, [tree for round_trees in rounds for tree in round_trees]
+            )
+            for round_trees in rounds:
+                predict_round_into(round_trees, bits, bit_row, scores, self.learning_rate)
             return
-        for class_index, tree in enumerate(round_trees):
-            tree.predict_into(features, scores[:, class_index], self.learning_rate)
+        for round_trees in rounds:
+            for class_index, tree in enumerate(round_trees):
+                tree.predict_into(features, scores[:, class_index], self.learning_rate)
 
     # ------------------------------------------------------------------ #
     def decision_function(self, features: np.ndarray) -> np.ndarray:
@@ -197,7 +203,7 @@ class GradientBoostingClassifier:
 
         Accumulates every round's contribution into one ``(n, n_classes)``
         score buffer, one round at a time: the round's trees advance
-        together, and only one round's node indices are alive at once.
+        together.
         """
         if self._base_scores is None or self.n_classes_ is None:
             raise NotFittedError("classifier is not fitted")
@@ -209,9 +215,7 @@ class GradientBoostingClassifier:
             )
         scores = np.empty((features.shape[0], self.n_classes_), dtype=np.float64)
         scores[:] = self._base_scores
-        bits = feature_bits(features)
-        for round_trees in self._trees:
-            self._predict_round_into(round_trees, features, bits, scores)
+        self._predict_rounds_into(self._trees, features, scores)
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

@@ -175,42 +175,33 @@ class BinaryFeatureRegressionTree:
         self._nav_right = nav_right
 
     # ------------------------------------------------------------------ #
-    def predict(
-        self, features: np.ndarray, features_t: np.ndarray | None = None
-    ) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict the leaf value of every row of ``features``."""
-        return self._value[self.apply(features, features_t)]
+        return self._value[self.apply(features)]
 
     def predict_into(
-        self,
-        features: np.ndarray,
-        out: np.ndarray,
-        scale: float = 1.0,
-        features_t: np.ndarray | None = None,
+        self, features: np.ndarray, out: np.ndarray, scale: float = 1.0
     ) -> np.ndarray:
         """Accumulate ``scale * predict(features)`` into ``out`` in place.
 
         Lets the boosting loop reuse one score buffer across rounds and
         classes instead of allocating a fresh prediction array per tree.
         """
-        out += scale * self._value[self.apply(features, features_t)]
+        out += scale * self._value[self.apply(features)]
         return out
 
-    def apply(
-        self, features: np.ndarray, features_t: np.ndarray | None = None
-    ) -> np.ndarray:
+    def apply(self, features: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row — iterative batched propagation.
 
         No recursion and no per-sample dispatch: every row's node index is
         advanced one level at a time with gather/where operations (see
-        :func:`predict_round_into`).  ``features_t`` optionally supplies
-        ``features.T``, saving the transpose.
+        :func:`predict_round_into`).
         """
         if self._feature is None:
             raise NotFittedError("tree is not fitted")
         features = validate_feature_matrix(features)
-        bits = feature_bits(features) if features_t is None else features_t > 0.5
-        return _round_leaves([self], bits)[0].astype(np.int32)
+        bits, bit_row = feature_bits(features, [self])
+        return _round_leaves([self], bits, bit_row)[0].astype(np.int32)
 
     # ------------------------------------------------------------------ #
     @property
@@ -621,20 +612,35 @@ def _unstack_trees(
     return trees
 
 
-def feature_bits(features: np.ndarray) -> np.ndarray:
-    """C-contiguous ``(F, n)`` boolean matrix ``features.T > 0.5``."""
-    return np.ascontiguousarray((features > 0.5).T)
+def feature_bits(
+    features: np.ndarray, trees: "list[BinaryFeatureRegressionTree]"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``> 0.5`` bits of the columns ``trees`` test, and each column's row.
+
+    Returns a C-contiguous ``(n_tested, n)`` boolean matrix holding
+    ``features[:, column] > 0.5`` for every column some tree tests, in
+    column order, and an ``(F,)`` index of each column's row in it (0 for
+    untested columns, which no node reads).  Only the tested columns are
+    transposed; the comparison is one streaming pass over ``features``.
+    """
+    feature_count = features.shape[1]
+    tested = np.concatenate([tree._feature for tree in trees])
+    columns = np.flatnonzero(np.bincount(tested[tested >= 0], minlength=feature_count))
+    bit_row = np.zeros(feature_count, dtype=np.intp)
+    bit_row[columns] = np.arange(columns.size)
+    return (features > 0.5).T[columns], bit_row
 
 
 def _round_leaves(
-    trees: "list[BinaryFeatureRegressionTree]", bits: np.ndarray
+    trees: "list[BinaryFeatureRegressionTree]", bits: np.ndarray, bit_row: np.ndarray
 ) -> np.ndarray:
     """Node reached by every row in every tree, as ``(n_trees, n)`` indices
     into the trees' node arrays stacked in order.
 
-    ``bits`` is ``features.T > 0.5``.  The navigation arrays are stacked
-    with per-tree node offsets, so one node-index array advances every row
-    of every tree one level per step; leaves navigate to themselves, so the
+    ``bits, bit_row`` is :func:`feature_bits` of the rows for these trees
+    (or for a superset of them).  The navigation arrays are stacked with
+    per-tree node offsets, so one node-index array advances every row of
+    every tree one level per step; leaves navigate to themselves, so the
     deepest tree's level count bounds the steps.
     """
     sizes = [tree._feature.size for tree in trees]
@@ -642,7 +648,7 @@ def _round_leaves(
     offsets = np.repeat(first, sizes)
     feature = np.concatenate([tree._feature for tree in trees])
     # row of ``bits`` tested at each node (leaves keep a harmless 0)
-    test_row = np.where(feature >= 0, feature, 0)
+    test_row = np.where(feature >= 0, bit_row[feature], 0)
     nav_left = np.concatenate([tree._nav_left for tree in trees]) + offsets
     nav_right = np.concatenate([tree._nav_right for tree in trees]) + offsets
     sample = np.arange(bits.shape[1])
@@ -656,15 +662,17 @@ def _round_leaves(
 def predict_round_into(
     trees: "list[BinaryFeatureRegressionTree]",
     bits: np.ndarray,
+    bit_row: np.ndarray,
     out: np.ndarray,
     scale: float = 1.0,
 ) -> np.ndarray:
     """Add ``scale * trees[t].predict(features)`` to ``out[:, t]`` for every tree.
 
-    ``bits`` is :func:`feature_bits` of the rows, shared by every call on
-    them.  The boosting model calls this once per round: the round's trees
-    advance together instead of one ``apply`` per tree.
+    ``bits, bit_row`` is :func:`feature_bits` of the rows for these trees or
+    a superset, shared by every call on them.  The boosting model calls
+    this once per round: the round's trees advance together instead of one
+    ``apply`` per tree.
     """
     value = np.concatenate([tree._value for tree in trees])
-    out += (scale * value[_round_leaves(trees, bits)]).T
+    out += (scale * value[_round_leaves(trees, bits, bit_row)]).T
     return out

@@ -145,16 +145,9 @@ class RecursiveBinaryFeatureRegressionTree:
         return output
 
     def predict_into(
-        self,
-        features: np.ndarray,
-        out: np.ndarray,
-        scale: float = 1.0,
-        features_t: np.ndarray | None = None,
+        self, features: np.ndarray, out: np.ndarray, scale: float = 1.0
     ) -> np.ndarray:
-        """Accumulate ``scale * predict(features)`` into ``out`` (API parity).
-
-        ``features_t`` is accepted for interface compatibility and ignored.
-        """
+        """Accumulate ``scale * predict(features)`` into ``out`` (API parity)."""
         out += scale * self.predict(features)
         return out
 

@@ -17,6 +17,7 @@ import pytest
 
 from lockstep_oracle import grow_forest as oracle_grow_forest
 from repro.ml.gradient_boosting import GradientBoostingClassifier, softmax
+import repro.ml.tree as tree_module
 from repro.ml.tree import grow_forest
 
 
@@ -45,31 +46,46 @@ def assert_identical(got, want):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def assert_matches_oracle(features, gradients, hessians, **kwargs):
+    kwargs["return_leaf_ids"] = True
+    trees, leaf_ids = grow_forest(features, gradients, hessians, **kwargs)
+    want_trees, want_leaf_ids = oracle_grow_forest(features, gradients, hessians, **kwargs)
+    assert len(trees) == len(want_trees) == gradients.shape[1]
+    for tree, want, leaves, want_leaves in zip(trees, want_trees, leaf_ids, want_leaf_ids):
+        for name in NODE_ARRAYS:
+            assert_identical(getattr(tree, name), getattr(want, name))
+        assert tree._levels == want._levels
+        assert_identical(leaves, want_leaves)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
 @pytest.mark.parametrize("max_depth", [1, 3, 4, 6])
 @pytest.mark.parametrize("min_samples_leaf", [2, 10, 200])
 def test_forest_matches_per_tree_oracle(seed, tied, max_depth, min_samples_leaf):
     for reg_lambda, n_trees in itertools.product([0, 1, 2.5], [1, 3, 7, 18]):
-        features, gradients, hessians = forest_problem(seed, n_trees, tied)
-        kwargs = dict(
+        assert_matches_oracle(
+            *forest_problem(seed, n_trees, tied),
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             reg_lambda=reg_lambda,
-            return_leaf_ids=True,
         )
-        trees, leaf_ids = grow_forest(features, gradients, hessians, **kwargs)
-        want_trees, want_leaf_ids = oracle_grow_forest(
-            features, gradients, hessians, **kwargs
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+def test_split_search_in_small_row_blocks_matches_oracle(monkeypatch, block_rows, tied):
+    # a production block holds 16384 // 12 = 1365 rows here, more than any
+    # frontier in this module; blocks of 1 and 3 rows (with a short last
+    # block) run every block after the first
+    for max_depth, n_trees in itertools.product([3, 6], [1, 7, 18]):
+        features, gradients, hessians = forest_problem(max_depth, n_trees, tied)
+        monkeypatch.setattr(
+            tree_module, "_SCORE_BLOCK_ELEMENTS", block_rows * features.shape[1]
         )
-        assert len(trees) == len(want_trees) == n_trees
-        for tree, want, leaves, want_leaves in zip(
-            trees, want_trees, leaf_ids, want_leaf_ids
-        ):
-            for name in NODE_ARRAYS:
-                assert_identical(getattr(tree, name), getattr(want, name))
-            assert tree._levels == want._levels
-            assert_identical(leaves, want_leaves)
+        assert_matches_oracle(
+            features, gradients, hessians, max_depth=max_depth, min_samples_leaf=2
+        )
 
 
 def test_min_samples_leaf_200_stops_below_the_root():

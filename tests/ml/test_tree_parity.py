@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.ml.gradient_boosting import GradientBoostingClassifier
-from repro.ml.tree import BinaryFeatureRegressionTree, grow_forest
+from repro.ml.tree import BinaryFeatureRegressionTree, feature_bits, grow_forest
 from repro.ml.tree_reference import RecursiveBinaryFeatureRegressionTree
 
 
@@ -134,13 +134,15 @@ class TestGrowForest:
         )
         np.testing.assert_array_equal(trees[0].apply(features), leaf_ids[0])
 
-    def test_transposed_features_apply_path(self):
+    def test_apply_transposes_only_the_tested_columns(self):
         features, gradients, hessians = untied_problem(7)
-        tree = BinaryFeatureRegressionTree(4, 5).fit(features, gradients, hessians)
-        features_t = np.ascontiguousarray(features.T)
-        np.testing.assert_array_equal(
-            tree.apply(features), tree.apply(features, features_t)
-        )
+        tree = BinaryFeatureRegressionTree(2, 5).fit(features, gradients, hessians)
+        tested = np.unique(tree._feature[tree._feature >= 0])
+        bits, bit_row = feature_bits(features, [tree])
+        assert bits.shape == (tested.size, features.shape[0])
+        assert bits.flags.c_contiguous
+        np.testing.assert_array_equal(bits, features[:, tested].T > 0.5)
+        np.testing.assert_array_equal(bit_row[tested], np.arange(tested.size))
 
 
 class TestBoostingGoldenParity:
