@@ -4,12 +4,12 @@ The attribute-inference figures (3, 6, 14, 15, 17) train the from-scratch
 gradient-boosted classifier once per grid cell, so GBDT training time is the
 wall-clock bottleneck of the attacker side of the paper.  This benchmark
 
-* times the level-wise lockstep implementation
-  (:class:`repro.ml.tree.BinaryFeatureRegressionTree` via
-  :func:`repro.ml.tree.grow_forest`) against the original recursive builder
-  (:class:`repro.ml.tree_reference.RecursiveBinaryFeatureRegressionTree`)
-  at fig-3 scale (n ≈ 30k, F ≈ 200, 4 classes) inside the *same* boosting
-  loop, so only the tree substrate differs;
+* times the level-wise forest grower (:func:`repro.ml.tree.grow_forest`)
+  against the original recursive builder (``reference_grow_forest`` from
+  the test-only oracle ``tests/ml/tree_reference.py``, imported by putting
+  that directory on ``sys.path``) at fig-3 scale (n ≈ 30k, F ≈ 200,
+  4 classes) inside the *same* boosting loop, so only the tree substrate
+  differs — both ensembles predict with the same code;
 * checks fixed-seed parity: both ensembles must agree on (essentially) every
   prediction — the implementations choose identical splits whenever gains
   are untied, so disagreement beyond gain ties fails the run;
@@ -44,8 +44,12 @@ from repro.kernels import (
     numba_available,
     set_backend,
 )
+from repro.ml import gradient_boosting
 from repro.ml.gradient_boosting import GradientBoostingClassifier
-from repro.ml.tree_reference import RecursiveBinaryFeatureRegressionTree
+
+# the recursive reference builder is a test-only oracle
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "ml"))
+from tree_reference import reference_grow_forest  # noqa: E402
 
 #: Minimum fraction of identical predictions between the two implementations
 #: (fixed seed) at the full fig-3 scale, where agreement is 1.0 in practice.
@@ -94,28 +98,32 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
-def make_classifier(n_estimators: int, tree_class=None) -> GradientBoostingClassifier:
-    """The benchmark model: the attack's GBDT configuration, fixed seed."""
+def make_classifier(n_estimators: int) -> GradientBoostingClassifier:
+    """The benchmark model: the attack's GBDT configuration."""
     return GradientBoostingClassifier(
-        n_estimators=n_estimators,
-        max_depth=4,
-        min_samples_leaf=20,
-        rng=0,
-        tree_class=tree_class,
+        n_estimators=n_estimators, max_depth=4, min_samples_leaf=20
     )
+
+
+def fit_with_recursive_trees(n_estimators: int, features, labels) -> GradientBoostingClassifier:
+    """The benchmark model fitted with the recursive reference trees."""
+    grow_forest = gradient_boosting.grow_forest
+    gradient_boosting.grow_forest = reference_grow_forest
+    try:
+        return make_classifier(n_estimators).fit(features, labels)
+    finally:
+        gradient_boosting.grow_forest = grow_forest
 
 
 def run_comparison(n: int, n_features: int, n_classes: int, n_estimators: int) -> dict:
-    """Old-vs-new fit/predict timing plus fixed-seed prediction parity."""
+    """Old-vs-new fit timing plus fixed-seed prediction parity."""
     features, labels = make_problem(n, n_features, n_classes)
     new_model, new_fit_s = timed(lambda: make_classifier(n_estimators).fit(features, labels))
     old_model, old_fit_s = timed(
-        lambda: make_classifier(
-            n_estimators, tree_class=RecursiveBinaryFeatureRegressionTree
-        ).fit(features, labels)
+        lambda: fit_with_recursive_trees(n_estimators, features, labels)
     )
     new_pred, new_predict_s = timed(lambda: new_model.predict(features))
-    old_pred, old_predict_s = timed(lambda: old_model.predict(features))
+    old_pred = old_model.predict(features)
     agreement = float(np.mean(new_pred == old_pred))
     new_accuracy = float(np.mean(new_pred == labels))
     old_accuracy = float(np.mean(old_pred == labels))
@@ -131,7 +139,6 @@ def run_comparison(n: int, n_features: int, n_classes: int, n_estimators: int) -
         "old_fit_seconds": old_fit_s,
         "fit_speedup": old_fit_s / new_fit_s,
         "new_predict_seconds": new_predict_s,
-        "old_predict_seconds": old_predict_s,
         "prediction_agreement": agreement,
         "new_train_accuracy": new_accuracy,
         "old_train_accuracy": old_accuracy,
@@ -234,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         f"old fit {comparison['old_fit_seconds']:7.2f} s   "
         f"speedup {comparison['fit_speedup']:.1f}x"
     )
-    print(
-        f"  new predict {comparison['new_predict_seconds']:.3f} s   "
-        f"old predict {comparison['old_predict_seconds']:.3f} s"
-    )
+    print(f"  predict {comparison['new_predict_seconds']:.3f} s")
     print(
         f"  fixed-seed prediction agreement {comparison['prediction_agreement']:.6f}, "
         f"max |proba diff| {comparison['max_proba_diff']:.2e}"

@@ -7,8 +7,10 @@ wall-clock bottleneck once GBDT training is fast (PR 3).  This benchmark
 * times the incremental block-outer/snapshot-inner engine
   (:class:`repro.attacks.reidentification.ReidentificationAttack`) against
   the original per-snapshot full-recompute engine
-  (:class:`repro.attacks.reidentification_reference.ReferenceReidentificationAttack`)
-  on the *same* delta-backed profiling result at fig-2 scale;
+  (``ReferenceReidentificationAttack`` from the test-only oracle
+  ``tests/attacks/reidentification_reference.py``, imported by putting that
+  directory on ``sys.path``) on the *same* delta-backed profiling result at
+  fig-2 scale;
 * measures each engine's peak memory with ``tracemalloc`` and compares the
   delta storage of :class:`~repro.attacks.profile.ProfilingResult` against
   the ``S`` dense snapshot copies it replaced;
@@ -38,12 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.attacks import (
-    ReferenceReidentificationAttack,
-    ReidentificationAttack,
-    build_profiles_smp,
-    plan_surveys,
-)
+from repro.attacks import ReidentificationAttack, build_profiles_smp, plan_surveys
 from repro.datasets.loaders import load_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kernels import (
@@ -53,6 +50,10 @@ from repro.kernels import (
     numba_available,
     set_backend,
 )
+
+# the pre-incremental engine is a test-only oracle
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "attacks"))
+from reidentification_reference import ReferenceReidentificationAttack  # noqa: E402
 
 #: Maximum |RID-ACC difference| (percentage points) tolerated between the
 #: two engines for any (#surveys, top-k) point.  Tie-free decisions agree

@@ -35,7 +35,6 @@ from .reidentification import (
     match_distances,
     top_k_candidates,
 )
-from .reidentification_reference import ReferenceReidentificationAttack
 
 __all__ = [
     "single_report_attack_accuracy",
@@ -51,7 +50,6 @@ __all__ = [
     "build_profiles_smp",
     "build_profiles_rsfd",
     "ReidentificationAttack",
-    "ReferenceReidentificationAttack",
     "ReidentificationResult",
     "count_topk_hits",
     "match_distances",

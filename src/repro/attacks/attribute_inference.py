@@ -48,7 +48,7 @@ class SampledAttributeClassifier(Protocol):
 ClassifierFactory = Callable[[], SampledAttributeClassifier]
 
 
-def default_classifier_factory(rng: RngLike = None) -> ClassifierFactory:
+def default_classifier_factory() -> ClassifierFactory:
     """Factory for the default attack classifier (GBDT, XGBoost stand-in)."""
 
     def build() -> SampledAttributeClassifier:
@@ -57,7 +57,6 @@ def default_classifier_factory(rng: RngLike = None) -> ClassifierFactory:
             learning_rate=0.3,
             max_depth=4,
             min_samples_leaf=20,
-            rng=ensure_rng(rng),
         )
 
     return build
@@ -123,7 +122,7 @@ class AttributeInferenceAttack:
             )
         self.solution = solution
         self._rng = ensure_rng(rng)
-        self.classifier_factory = classifier_factory or default_classifier_factory(self._rng)
+        self.classifier_factory = classifier_factory or default_classifier_factory()
 
     # ------------------------------------------------------------------ #
     # training-set builders

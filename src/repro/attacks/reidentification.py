@@ -27,8 +27,8 @@ O(block x d x m) recompute), and decides top-k membership with the exact
 **count-based** rule of :func:`count_topk_hits` — a user's record is in the
 top-k iff ``#strictly_closer + #winning_ties < k`` — which needs one uniform
 draw per user instead of a ``(block, m)`` float64 jitter matrix and an
-``argpartition`` pass.  The pre-incremental engine survives verbatim in
-:mod:`repro.attacks.reidentification_reference` as the parity baseline: both
+``argpartition`` pass.  The pre-incremental engine survives verbatim as a
+test-only oracle under ``tests/attacks`` and is the parity baseline: both
 engines agree exactly wherever the true record's distance is tie-free and
 are distributionally identical under ties (per-user hit probabilities
 coincide; only the tie-break RNG streams differ).

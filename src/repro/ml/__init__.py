@@ -5,11 +5,9 @@ from .gradient_boosting import GradientBoostingClassifier, softmax
 from .metrics import accuracy_score, confusion_matrix, per_class_recall
 from .naive_bayes import BernoulliNaiveBayes
 from .tree import BinaryFeatureRegressionTree, grow_forest
-from .tree_reference import RecursiveBinaryFeatureRegressionTree
 
 __all__ = [
     "BinaryFeatureRegressionTree",
-    "RecursiveBinaryFeatureRegressionTree",
     "grow_forest",
     "GradientBoostingClassifier",
     "BernoulliNaiveBayes",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.rng import RngLike, ensure_rng
 from ..exceptions import InvalidParameterError, NotFittedError
 from .tree import (
     BinaryFeatureRegressionTree,
@@ -52,19 +51,6 @@ class GradientBoostingClassifier:
         Shrinkage applied to each tree's output.
     max_depth, min_samples_leaf, reg_lambda:
         Passed to the base :class:`~repro.ml.tree.BinaryFeatureRegressionTree`.
-    subsample:
-        Fraction of rows sampled (without replacement) per round; 1.0 uses
-        all rows.
-    rng:
-        Seed or generator controlling row subsampling.
-    tree_class:
-        Base-learner class; defaults to the level-wise
-        :class:`~repro.ml.tree.BinaryFeatureRegressionTree` (trained via the
-        round-level :func:`~repro.ml.tree.grow_forest` fast path).  Any class
-        with the same constructor and ``fit``/``predict_into`` interface —
-        e.g. the recursive reference tree in :mod:`repro.ml.tree_reference`
-        — can be substituted for parity testing and benchmarking; non-default
-        classes are fitted and applied one tree at a time.
     """
 
     def __init__(
@@ -74,26 +60,18 @@ class GradientBoostingClassifier:
         max_depth: int = 4,
         min_samples_leaf: int = 10,
         reg_lambda: float = 1.0,
-        subsample: float = 1.0,
-        rng: RngLike = None,
-        tree_class: type | None = None,
     ) -> None:
         if n_estimators < 1:
             raise InvalidParameterError("n_estimators must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise InvalidParameterError("learning_rate must be in (0, 1]")
-        if not 0.0 < subsample <= 1.0:
-            raise InvalidParameterError("subsample must be in (0, 1]")
         _validate_hyperparameters(max_depth, min_samples_leaf, reg_lambda)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.reg_lambda = reg_lambda
-        self.subsample = subsample
-        self.tree_class = tree_class or BinaryFeatureRegressionTree
-        self._rng = ensure_rng(rng)
-        self._trees: list[list] = []
+        self._trees: list[list[BinaryFeatureRegressionTree]] = []
         self._base_scores: np.ndarray | None = None
         self.n_classes_: int | None = None
         self.n_features_in_: int | None = None
@@ -123,79 +101,20 @@ class GradientBoostingClassifier:
             probabilities = softmax(scores)
             gradients = probabilities - one_hot
             hessians = np.clip(probabilities * (1.0 - probabilities), 1e-6, None)
-            if self.subsample < 1.0:
-                sample_size = max(1, int(round(self.subsample * n_samples)))
-                rows = self._rng.choice(n_samples, size=sample_size, replace=False)
-                round_trees, _ = self._fit_round(
-                    features[rows], gradients[rows], hessians[rows]
-                )
-            else:
-                round_trees, leaf_ids = self._fit_round(features, gradients, hessians)
-                if leaf_ids is not None:
-                    # round-level growth already routed every training row to
-                    # its leaf: the score update is a plain gather, no
-                    # re-application of the trees to the training matrix
-                    for class_index, (tree, leaves) in enumerate(
-                        zip(round_trees, leaf_ids)
-                    ):
-                        scores[:, class_index] += self.learning_rate * tree._value[leaves]
-                    self._trees.append(round_trees)
-                    continue
-            # without training leaf ids (a subsampled round or a substituted
-            # tree class) the round's trees are re-applied to the full matrix
-            self._predict_rounds_into([round_trees], features, scores)
-            self._trees.append(round_trees)
-        return self
-
-    def _fit_round(
-        self, features: np.ndarray, gradients: np.ndarray, hessians: np.ndarray
-    ) -> tuple[list, "list[np.ndarray] | None"]:
-        """Train one boosting round: one tree per class.
-
-        Returns ``(trees, leaf_ids)``; ``leaf_ids`` carries each training
-        row's leaf per tree on the round-level fast path and is ``None`` for
-        substituted tree classes (which are fitted one tree at a time).
-        """
-        if self.tree_class is BinaryFeatureRegressionTree:
-            return grow_forest(
+            round_trees, leaf_ids = grow_forest(
                 features,
                 gradients,
                 hessians,
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 reg_lambda=self.reg_lambda,
-                return_leaf_ids=True,
             )
-        round_trees = []
-        for class_index in range(gradients.shape[1]):
-            tree = self.tree_class(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                reg_lambda=self.reg_lambda,
-            )
-            tree.fit(features, gradients[:, class_index], hessians[:, class_index])
-            round_trees.append(tree)
-        return round_trees, None
-
-    def _predict_rounds_into(
-        self, rounds: list[list], features: np.ndarray, scores: np.ndarray
-    ) -> None:
-        """Add the shrunken tree outputs of ``rounds`` to ``scores`` in place.
-
-        The default trees advance one round at a time over bits of the
-        columns any of them tests, built once; only one round's node
-        indices are alive at once.
-        """
-        if self.tree_class is BinaryFeatureRegressionTree:
-            bits, bit_row = feature_bits(
-                features, [tree for round_trees in rounds for tree in round_trees]
-            )
-            for round_trees in rounds:
-                predict_round_into(round_trees, bits, bit_row, scores, self.learning_rate)
-            return
-        for round_trees in rounds:
-            for class_index, tree in enumerate(round_trees):
-                tree.predict_into(features, scores[:, class_index], self.learning_rate)
+            # growth already routed every training row to its leaf: the score
+            # update is a plain gather, no re-application of the trees
+            for class_index, (tree, leaves) in enumerate(zip(round_trees, leaf_ids)):
+                scores[:, class_index] += self.learning_rate * tree._value[leaves]
+            self._trees.append(round_trees)
+        return self
 
     # ------------------------------------------------------------------ #
     def decision_function(self, features: np.ndarray) -> np.ndarray:
@@ -215,7 +134,13 @@ class GradientBoostingClassifier:
             )
         scores = np.empty((features.shape[0], self.n_classes_), dtype=np.float64)
         scores[:] = self._base_scores
-        self._predict_rounds_into(self._trees, features, scores)
+        # bits of the columns any tree tests, built once; only one round's
+        # node indices are alive at once
+        bits, bit_row = feature_bits(
+            features, [tree for round_trees in self._trees for tree in round_trees]
+        )
+        for round_trees in self._trees:
+            predict_round_into(round_trees, bits, bit_row, scores, self.learning_rate)
         return scores
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:

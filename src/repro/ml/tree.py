@@ -13,12 +13,12 @@ node are ``X^T (g * 1[sample in node])``.
 
 Trees are grown **level-wise**: instead of recursing node by node (and
 fancy-indexing a fresh copy of the feature block at every node, as the
-reference implementation in :mod:`repro.ml.tree_reference` does), the
-builder keeps one per-sample node-slot array and computes the
-gradient/hessian/count histograms of *every* frontier node in a single
-``X^T W`` product over the original feature matrix, where ``W`` scatters
-``(g, h, 1)`` into one column triple per frontier node.  Best splits for the
-whole frontier are chosen at once and samples are routed with boolean masks.
+recursive reference builder under ``tests/ml`` does), the builder keeps
+one per-sample node-slot array and computes the gradient/hessian/count
+histograms of *every* frontier node in a single ``X^T W`` product over the
+original feature matrix, where ``W`` scatters ``(g, h, 1)`` into one column
+triple per frontier node.  Best splits for the whole frontier are chosen at
+once and samples are routed with boolean masks.
 
 Because that product is memory-bound on streaming ``X`` (its cost barely
 depends on the number of weight columns), :func:`grow_forest` grows many
@@ -87,9 +87,8 @@ class BinaryFeatureRegressionTree:
     The tree minimizes the second-order boosting objective: each leaf outputs
     ``-G / (H + reg_lambda)`` and splits are chosen by the usual XGBoost-style
     gain formula.  Splits, tie-breaking (first feature with the maximal gain)
-    and stopping rules match the recursive reference implementation
-    (:class:`repro.ml.tree_reference.RecursiveBinaryFeatureRegressionTree`)
-    exactly up to floating-point summation order.
+    and stopping rules match the recursive reference builder, a test-only
+    oracle under ``tests/ml``, exactly up to floating-point summation order.
 
     Parameters
     ----------
@@ -132,7 +131,7 @@ class BinaryFeatureRegressionTree:
         """Fit the tree to per-sample gradients and hessians."""
         gradients = np.asarray(gradients, dtype=np.float64).ravel()
         hessians = np.asarray(hessians, dtype=np.float64).ravel()
-        fitted = grow_forest(
+        (fitted,), _ = grow_forest(
             features,
             gradients[:, None],
             hessians[:, None],
@@ -140,7 +139,7 @@ class BinaryFeatureRegressionTree:
             min_samples_leaf=self.min_samples_leaf,
             reg_lambda=self.reg_lambda,
             min_gain=self.min_gain,
-        )[0]
+        )
         self._adopt(
             fitted._feature, fitted._left, fitted._right, fitted._value,
             levels=fitted._levels,
@@ -178,17 +177,6 @@ class BinaryFeatureRegressionTree:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict the leaf value of every row of ``features``."""
         return self._value[self.apply(features)]
-
-    def predict_into(
-        self, features: np.ndarray, out: np.ndarray, scale: float = 1.0
-    ) -> np.ndarray:
-        """Accumulate ``scale * predict(features)`` into ``out`` in place.
-
-        Lets the boosting loop reuse one score buffer across rounds and
-        classes instead of allocating a fresh prediction array per tree.
-        """
-        out += scale * self._value[self.apply(features)]
-        return out
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row — iterative batched propagation.
@@ -326,8 +314,7 @@ def grow_forest(
     min_samples_leaf: int = 10,
     reg_lambda: float = 1.0,
     min_gain: float = 1e-6,
-    return_leaf_ids: bool = False,
-) -> "list[BinaryFeatureRegressionTree] | tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]":
+) -> tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]:
     """Grow one tree per column of ``gradients``/``hessians`` as one forest.
 
     All trees share the same ``(n, F)`` feature matrix.  Their frontiers are
@@ -340,10 +327,10 @@ def grow_forest(
     Each returned tree is identical to fitting a
     :class:`BinaryFeatureRegressionTree` on its column alone.
 
-    With ``return_leaf_ids=True`` the result is ``(trees, leaf_ids)`` where
-    ``leaf_ids[t]`` is the leaf node index each training row ends up in for
-    tree ``t`` — a byproduct of routing that saves the boosting loop a full
-    re-application of every tree to the training matrix.
+    Returns ``(trees, leaf_ids)``, where ``leaf_ids[t]`` is the leaf node
+    index each training row ends up in for tree ``t`` — a byproduct of
+    routing that saves the boosting loop a full re-application of every
+    tree to the training matrix.
     """
     features = validate_feature_matrix(features)
     gradients = np.asarray(gradients, dtype=np.float64)
@@ -561,9 +548,7 @@ def grow_forest(
         member_slot = 2 * split_rank[member_sub] + goes_right
 
     trees = _unstack_trees(levels, n_trees, max_depth, min_samples_leaf, reg_lambda, min_gain)
-    if return_leaf_ids:
-        return trees, list(leaf_of)
-    return trees
+    return trees, list(leaf_of)
 
 
 def _unstack_trees(

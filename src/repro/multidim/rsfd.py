@@ -40,6 +40,17 @@ FakeDataVariant = Literal["grr", "ue-z", "ue-r"]
 UEKind = Literal["SUE", "OUE"]
 
 
+_UE_CLASSES: dict[str, type[UnaryEncoding]] = {"SUE": SUE, "OUE": OUE}
+
+
+def _validate_ue_kind(kind: str) -> str:
+    """Upper-cased ``kind``; raises unless it names SUE or OUE."""
+    kind = str(kind).upper()
+    if kind not in _UE_CLASSES:
+        raise InvalidParameterError(f"ue_kind must be 'SUE' or 'OUE', got {kind!r}")
+    return kind
+
+
 def _make_ue(
     kind: str,
     k: int,
@@ -48,12 +59,8 @@ def _make_ue(
     packed: bool = False,
     chunk_size: int | None = None,
 ) -> UnaryEncoding:
-    kind = kind.upper()
-    if kind == "SUE":
-        return SUE(k, epsilon, rng=rng, packed=packed, chunk_size=chunk_size)
-    if kind == "OUE":
-        return OUE(k, epsilon, rng=rng, packed=packed, chunk_size=chunk_size)
-    raise InvalidParameterError(f"ue_kind must be 'SUE' or 'OUE', got {kind!r}")
+    """UE randomizer of a ``kind`` already checked by :func:`_validate_ue_kind`."""
+    return _UE_CLASSES[kind](k, epsilon, rng=rng, packed=packed, chunk_size=chunk_size)
 
 
 class RSFD(FakeDataCountsMixin, MultidimSolution):
@@ -99,10 +106,11 @@ class RSFD(FakeDataCountsMixin, MultidimSolution):
             raise InvalidParameterError(
                 f"variant must be 'grr', 'ue-z' or 'ue-r', got {variant!r}"
             )
-        protocol = "GRR" if variant == "grr" else ue_kind.upper()
+        ue_kind = _validate_ue_kind(ue_kind)
+        protocol = "GRR" if variant == "grr" else ue_kind
         super().__init__(domain, epsilon, protocol=protocol, rng=rng)
         self.variant = variant
-        self.ue_kind = ue_kind.upper()
+        self.ue_kind = ue_kind
         self.packed = bool(packed)
         self.chunk_size = validate_chunk_size(chunk_size)
         self.amplified_epsilon = amplified_epsilon(self.epsilon, self.domain.d)

@@ -30,8 +30,8 @@ from ..core.rng import RngLike
 from ..exceptions import EstimationError, InvalidParameterError
 from ..protocols.grr import GRR
 from ..protocols.streaming import PackedBits, validate_chunk_size
-from ..protocols.ue import OUE, SUE, UnaryEncoding
 from .base import FakeDataCountsMixin, MultidimReports, MultidimSolution, sample_attributes
+from .rsfd import _make_ue, _validate_ue_kind
 
 RealisticVariant = Literal["grr", "ue-r"]
 
@@ -80,10 +80,11 @@ class RSRFD(FakeDataCountsMixin, MultidimSolution):
             raise InvalidParameterError(
                 f"variant must be 'grr' or 'ue-r', got {variant!r}"
             )
-        protocol = "GRR" if variant == "grr" else ue_kind.upper()
+        ue_kind = _validate_ue_kind(ue_kind)
+        protocol = "GRR" if variant == "grr" else ue_kind
         super().__init__(domain, epsilon, protocol=protocol, rng=rng)
         self.variant = variant
-        self.ue_kind = ue_kind.upper()
+        self.ue_kind = ue_kind
         self.packed = bool(packed)
         self.chunk_size = validate_chunk_size(chunk_size)
         self.amplified_epsilon = amplified_epsilon(self.epsilon, self.domain.d)
@@ -122,15 +123,8 @@ class RSRFD(FakeDataCountsMixin, MultidimSolution):
         k = self.domain.size_of(attribute)
         if self.variant == "grr":
             return GRR(k, self.amplified_epsilon, rng=self._rng)
-        if self.ue_kind == "SUE":
-            return SUE(
-                k,
-                self.amplified_epsilon,
-                rng=self._rng,
-                packed=self.packed,
-                chunk_size=self.chunk_size,
-            )
-        return OUE(
+        return _make_ue(
+            self.ue_kind,
             k,
             self.amplified_epsilon,
             rng=self._rng,

@@ -4,8 +4,10 @@ This module preserves the original matching pipeline — one full
 ``match_distances`` pass per snapshot and the ``(block, m)`` float64 jitter +
 ``argpartition`` decision of :func:`~repro.attacks.reidentification.top_k_candidates`
 — as the parity baseline for the incremental engine in
-:mod:`repro.attacks.reidentification`, mirroring how
-:mod:`repro.ml.tree_reference` keeps the recursive tree builder.
+:mod:`repro.attacks.reidentification`, mirroring how ``tests/ml/tree_reference.py``
+keeps the recursive tree builder.  Test-only: the package ships no oracles;
+``benchmarks/bench_reident_matching.py`` puts this directory on ``sys.path``
+to import it.
 
 Equivalence contract (enforced by ``tests/attacks/test_reidentification_engine.py``
 and ``benchmarks/bench_reident_matching.py``):
@@ -28,15 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from .profile import ProfilingResult
-from .reidentification import (
+from repro.attacks.profile import ProfilingResult
+from repro.attacks.reidentification import (
     _BLOCK_SIZE,
     ReidentificationAttack,
     ReidentificationResult,
     match_distances,
     top_k_candidates,
 )
+from repro.exceptions import InvalidParameterError
 
 
 class ReferenceReidentificationAttack(ReidentificationAttack):

@@ -29,10 +29,10 @@ from repro.attacks.reidentification import (
     count_topk_hits,
     top_k_candidates,
 )
-from repro.attacks.reidentification_reference import ReferenceReidentificationAttack
 from repro.core.dataset import TabularDataset
 from repro.core.domain import Domain
 from repro.exceptions import InvalidParameterError
+from reidentification_reference import ReferenceReidentificationAttack
 
 
 # --------------------------------------------------------------------------- #

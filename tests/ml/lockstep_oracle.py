@@ -311,8 +311,7 @@ def grow_forest(
     min_samples_leaf: int = 10,
     reg_lambda: float = 1.0,
     min_gain: float = 1e-6,
-    return_leaf_ids: bool = False,
-) -> "list[BinaryFeatureRegressionTree] | tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]":
+) -> tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]:
     """Grow one tree per column of ``gradients``/``hessians`` in lockstep.
 
     All trees share the same ``(n, F)`` feature matrix; their per-level
@@ -324,10 +323,8 @@ def grow_forest(
     Each returned tree is identical to fitting a
     :class:`BinaryFeatureRegressionTree` on its column alone.
 
-    With ``return_leaf_ids=True`` the result is ``(trees, leaf_ids)`` where
-    ``leaf_ids[t]`` is the leaf node index each training row ends up in for
-    tree ``t`` — a byproduct of routing that saves the boosting loop a full
-    re-application of every tree to the training matrix.
+    Returns ``(trees, leaf_ids)``, where ``leaf_ids[t]`` is the leaf node
+    index each training row ends up in for tree ``t``.
     """
     features = validate_feature_matrix(features)
     gradients = np.asarray(gradients, dtype=np.float64)
@@ -382,6 +379,4 @@ def grow_forest(
         grower.build_tree(max_depth, min_samples_leaf, reg_lambda, min_gain)
         for grower in growers
     ]
-    if return_leaf_ids:
-        return trees, [grower.leaf_of for grower in growers]
-    return trees
+    return trees, [grower.leaf_of for grower in growers]

@@ -47,7 +47,6 @@ def assert_identical(got, want):
 
 
 def assert_matches_oracle(features, gradients, hessians, **kwargs):
-    kwargs["return_leaf_ids"] = True
     trees, leaf_ids = grow_forest(features, gradients, hessians, **kwargs)
     want_trees, want_leaf_ids = oracle_grow_forest(features, gradients, hessians, **kwargs)
     assert len(trees) == len(want_trees) == gradients.shape[1]
@@ -91,18 +90,16 @@ def test_split_search_in_small_row_blocks_matches_oracle(monkeypatch, block_rows
 def test_min_samples_leaf_200_stops_below_the_root():
     # the grid's largest min_samples_leaf must stop trees early, not at once
     features, gradients, hessians = forest_problem(0, 3, tied=False)
-    trees = grow_forest(features, gradients, hessians, max_depth=6, min_samples_leaf=200)
+    trees, _ = grow_forest(features, gradients, hessians, max_depth=6, min_samples_leaf=200)
     assert all(1 < tree._levels < 7 for tree in trees)
 
 
 def test_empty_group_and_unsplittable_root():
     features, gradients, hessians = forest_problem(1, 2, tied=False, n=30)
-    assert grow_forest(features, gradients[:, :0], hessians[:, :0]) == []
-    trees, leaf_ids = grow_forest(
-        features, gradients, hessians, min_samples_leaf=20, return_leaf_ids=True
-    )
+    assert grow_forest(features, gradients[:, :0], hessians[:, :0]) == ([], [])
+    trees, leaf_ids = grow_forest(features, gradients, hessians, min_samples_leaf=20)
     want_trees, want_leaf_ids = oracle_grow_forest(
-        features, gradients, hessians, min_samples_leaf=20, return_leaf_ids=True
+        features, gradients, hessians, min_samples_leaf=20
     )
     for tree, want, leaves, want_leaves in zip(trees, want_trees, leaf_ids, want_leaf_ids):
         assert tree.node_count == want.node_count == 1
@@ -128,9 +125,8 @@ def per_tree_scores(model, features, leaves_of):
     return scores
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.7])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_round_prediction_matches_per_tree_loop(subsample, dtype):
+def test_round_prediction_matches_per_tree_loop(dtype):
     rng = np.random.default_rng(3)
     n, n_features, n_classes = 600, 20, 5
     labels = rng.integers(0, n_classes, size=n)
@@ -138,7 +134,7 @@ def test_round_prediction_matches_per_tree_loop(subsample, dtype):
     for c in range(n_classes):
         features[labels == c, c] = 1.0
     model = GradientBoostingClassifier(
-        n_estimators=8, max_depth=4, min_samples_leaf=5, subsample=subsample, rng=0
+        n_estimators=8, max_depth=4, min_samples_leaf=5
     ).fit(features[:400], labels[:400])
     held_out = features[400:]
     got = model.predict_proba(held_out).tobytes()

@@ -40,19 +40,19 @@ class TestSoftmax:
 class TestClassifier:
     def test_learns_separable_classes(self):
         features, labels = make_multiclass_problem()
-        model = GradientBoostingClassifier(n_estimators=15, max_depth=3, rng=0)
+        model = GradientBoostingClassifier(n_estimators=15, max_depth=3)
         model.fit(features, labels)
         assert accuracy_score(labels, model.predict(features)) > 0.85
 
     def test_generalizes_to_held_out_rows(self):
         features, labels = make_multiclass_problem(n=1200)
-        model = GradientBoostingClassifier(n_estimators=15, max_depth=3, rng=0)
+        model = GradientBoostingClassifier(n_estimators=15, max_depth=3)
         model.fit(features[:900], labels[:900])
         assert accuracy_score(labels[900:], model.predict(features[900:])) > 0.8
 
     def test_predict_proba_is_distribution(self):
         features, labels = make_multiclass_problem(n=300)
-        model = GradientBoostingClassifier(n_estimators=5, rng=0)
+        model = GradientBoostingClassifier(n_estimators=5)
         model.fit(features, labels)
         proba = model.predict_proba(features[:10])
         assert proba.shape == (10, 3)
@@ -64,15 +64,9 @@ class TestClassifier:
         labels = (rng.random(n) < 0.2).astype(np.int64)
         features = np.zeros((n, 4), dtype=np.float32)
         features[:, 0] = labels  # perfectly informative feature
-        model = GradientBoostingClassifier(n_estimators=10, rng=0)
+        model = GradientBoostingClassifier(n_estimators=10)
         model.fit(features, labels)
         assert accuracy_score(labels, model.predict(features)) > 0.95
-
-    def test_subsample_mode(self):
-        features, labels = make_multiclass_problem(n=600)
-        model = GradientBoostingClassifier(n_estimators=10, subsample=0.5, rng=0)
-        model.fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) > 0.7
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(NotFittedError):
@@ -83,8 +77,6 @@ class TestClassifier:
             GradientBoostingClassifier(n_estimators=0)
         with pytest.raises(InvalidParameterError):
             GradientBoostingClassifier(learning_rate=0.0)
-        with pytest.raises(InvalidParameterError):
-            GradientBoostingClassifier(subsample=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,7 +90,7 @@ class TestClassifier:
     @pytest.mark.parametrize("width", [11, 13])
     def test_wrong_feature_width_rejected(self, width):
         features, labels = make_multiclass_problem(n=300)
-        model = GradientBoostingClassifier(n_estimators=3, rng=0).fit(features, labels)
+        model = GradientBoostingClassifier(n_estimators=3).fit(features, labels)
         wrong = np.zeros((4, width), dtype=np.float32)
         for method in (model.predict, model.predict_proba, model.decision_function):
             with pytest.raises(InvalidParameterError, match="columns"):
@@ -123,7 +115,7 @@ def test_fit_and_predict_do_not_import_numpy_ma():
         "rng = np.random.default_rng(0); "
         "x = (rng.random((200, 8)) < 0.5).astype(np.float32); "
         "y = rng.integers(0, 3, size=200); "
-        "GradientBoostingClassifier(n_estimators=3, rng=0).fit(x, y).predict_proba(x); "
+        "GradientBoostingClassifier(n_estimators=3).fit(x, y).predict_proba(x); "
         "print('numpy.ma' in sys.modules)"
     )
     src = str(Path(repro.__file__).resolve().parents[1])

@@ -1,21 +1,23 @@
 """Parity tests: level-wise histogram trees vs the recursive reference.
 
 The level-wise builder (:mod:`repro.ml.tree`) and the recursive reference
-(:mod:`repro.ml.tree_reference`) implement the same split rule with the same
-first-max tie-breaking, so they must grow identical trees whenever gains are
-untied; floating-point summation order is their only difference.  When
-gains *are* mathematically tied (two features inducing the same partition,
-or the piecewise-constant gradients of boosting round 0 producing equal
-contingency counts), either implementation may round the tie its own way —
-those cases are covered by prediction-level equivalence instead.
+(the test-only oracle ``tree_reference`` beside this file) implement the
+same split rule with the same first-max tie-breaking, so they must grow
+identical trees whenever gains are untied; floating-point summation order
+is their only difference.  When gains *are* mathematically tied (two
+features inducing the same partition, or the piecewise-constant gradients of
+boosting round 0 producing equal contingency counts), either implementation
+may round the tie its own way — those cases are covered by prediction-level
+equivalence instead.
 """
 
 import numpy as np
 import pytest
 
+from repro.ml import gradient_boosting
 from repro.ml.gradient_boosting import GradientBoostingClassifier
 from repro.ml.tree import BinaryFeatureRegressionTree, feature_bits, grow_forest
-from repro.ml.tree_reference import RecursiveBinaryFeatureRegressionTree
+from tree_reference import RecursiveBinaryFeatureRegressionTree, reference_grow_forest
 
 
 def untied_problem(seed, n=400, n_features=12):
@@ -111,7 +113,7 @@ class TestGrowForest:
         features = rng.integers(0, 2, size=(500, 10)).astype(np.float32)
         gradients = rng.normal(size=(500, 3))
         hessians = np.clip(rng.random((500, 3)), 1e-6, None)
-        forest = grow_forest(features, gradients, hessians, max_depth=3, min_samples_leaf=5)
+        forest, _ = grow_forest(features, gradients, hessians, max_depth=3, min_samples_leaf=5)
         for t, tree in enumerate(forest):
             alone = BinaryFeatureRegressionTree(3, 5).fit(
                 features, gradients[:, t], hessians[:, t]
@@ -130,7 +132,6 @@ class TestGrowForest:
             hessians[:, None],
             max_depth=4,
             min_samples_leaf=5,
-            return_leaf_ids=True,
         )
         np.testing.assert_array_equal(trees[0].apply(features), leaf_ids[0])
 
@@ -147,13 +148,14 @@ class TestGrowForest:
 
 class TestBoostingGoldenParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_fixed_seed_predictions_identical(self, seed):
+    def test_fixed_seed_predictions_identical(self, monkeypatch, seed):
+        # the recursive trees are grown inside the same boosting loop; only
+        # the tree substrate differs
         features, labels = classification_problem(seed)
-        kwargs = dict(n_estimators=10, max_depth=3, min_samples_leaf=10, rng=0)
+        kwargs = dict(n_estimators=10, max_depth=3, min_samples_leaf=10)
         level_wise = GradientBoostingClassifier(**kwargs).fit(features, labels)
-        recursive = GradientBoostingClassifier(
-            tree_class=RecursiveBinaryFeatureRegressionTree, **kwargs
-        ).fit(features, labels)
+        monkeypatch.setattr(gradient_boosting, "grow_forest", reference_grow_forest)
+        recursive = GradientBoostingClassifier(**kwargs).fit(features, labels)
         np.testing.assert_array_equal(
             level_wise.predict(features), recursive.predict(features)
         )
@@ -164,16 +166,15 @@ class TestBoostingGoldenParity:
             atol=1e-10,
         )
 
-    def test_subsample_path_matches(self):
-        # both implementations must consume the subsampling rng identically
-        features, labels = classification_problem(1)
-        kwargs = dict(
-            n_estimators=6, max_depth=3, min_samples_leaf=10, subsample=0.7, rng=7
+    def test_reference_forest_leaf_ids_match_its_trees(self):
+        features, gradients, hessians = untied_problem(4)
+        gradients = np.stack([gradients, -gradients], axis=1)
+        hessians = np.stack([hessians, hessians[::-1]], axis=1)
+        trees, leaf_ids = reference_grow_forest(
+            features, gradients, hessians, max_depth=3, min_samples_leaf=5
         )
-        level_wise = GradientBoostingClassifier(**kwargs).fit(features, labels)
-        recursive = GradientBoostingClassifier(
-            tree_class=RecursiveBinaryFeatureRegressionTree, **kwargs
-        ).fit(features, labels)
-        np.testing.assert_array_equal(
-            level_wise.predict(features), recursive.predict(features)
-        )
+        for t, (tree, leaves) in enumerate(zip(trees, leaf_ids)):
+            recursive = RecursiveBinaryFeatureRegressionTree(3, 5).fit(
+                features, gradients[:, t], hessians[:, t]
+            )
+            np.testing.assert_array_equal(tree._value[leaves], recursive.predict(features))

@@ -6,11 +6,16 @@ histogram growth.  It is kept (unoptimized, one fancy-indexed row copy per
 node) as the ground truth for
 
 * the split-parity and golden-prediction tests in ``tests/ml``, and
-* the old-vs-new speedup measurement in ``benchmarks/bench_ml_training.py``.
+* the recursive-vs-level-wise speedup measurement in
+  ``benchmarks/bench_ml_training.py``, which puts this directory on
+  ``sys.path`` to import it.
 
 Both implementations choose splits by the same XGBoost-style gain formula
 with first-max-feature tie-breaking, so they grow identical trees whenever
 gains are untied (floating-point summation order is the only difference).
+:func:`reference_grow_forest` is a drop-in for
+:func:`repro.ml.tree.grow_forest` built from these trees.  Test-only: the
+package ships no oracles.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError, NotFittedError
-from .validation import validate_aligned_targets, validate_feature_matrix
+from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.ml.tree import BinaryFeatureRegressionTree
+from repro.ml.validation import validate_aligned_targets, validate_feature_matrix
 
 
 @dataclass
@@ -144,13 +150,6 @@ class RecursiveBinaryFeatureRegressionTree:
         self._predict_node(0, features, np.arange(features.shape[0]), output)
         return output
 
-    def predict_into(
-        self, features: np.ndarray, out: np.ndarray, scale: float = 1.0
-    ) -> np.ndarray:
-        """Accumulate ``scale * predict(features)`` into ``out`` (API parity)."""
-        out += scale * self.predict(features)
-        return out
-
     def _predict_node(
         self, node_index: int, features: np.ndarray, rows: np.ndarray, output: np.ndarray
     ) -> None:
@@ -198,3 +197,40 @@ class RecursiveBinaryFeatureRegressionTree:
             "right": np.asarray(right, dtype=np.int32),
             "value": np.asarray(value, dtype=np.float64),
         }
+
+
+def reference_grow_forest(
+    features: np.ndarray,
+    gradients: np.ndarray,
+    hessians: np.ndarray,
+    max_depth: int = 4,
+    min_samples_leaf: int = 10,
+    reg_lambda: float = 1.0,
+    min_gain: float = 1e-6,
+) -> tuple[list[BinaryFeatureRegressionTree], list[np.ndarray]]:
+    """:func:`repro.ml.tree.grow_forest` built from recursive trees.
+
+    Fits one :class:`RecursiveBinaryFeatureRegressionTree` per column of
+    ``gradients``/``hessians`` and installs its breadth-first
+    :meth:`~RecursiveBinaryFeatureRegressionTree.structure` in a
+    :class:`~repro.ml.tree.BinaryFeatureRegressionTree`, so the boosting loop
+    and prediction run unchanged and only the tree substrate differs.  The
+    training leaf ids come from ``apply``.
+    """
+    trees = []
+    for column in range(gradients.shape[1]):
+        recursive = RecursiveBinaryFeatureRegressionTree(
+            max_depth, min_samples_leaf, reg_lambda, min_gain
+        ).fit(features, gradients[:, column], hessians[:, column])
+        nodes = recursive.structure()
+        # breadth-first order: every parent precedes its children
+        depth = np.zeros(nodes["feature"].size, dtype=np.int64)
+        for parent in np.flatnonzero(nodes["feature"] >= 0):
+            depth[nodes["left"][parent]] = depth[nodes["right"][parent]] = depth[parent] + 1
+        tree = BinaryFeatureRegressionTree(max_depth, min_samples_leaf, reg_lambda, min_gain)
+        tree._adopt(
+            nodes["feature"], nodes["left"], nodes["right"], nodes["value"],
+            levels=int(depth.max()) + 1,
+        )
+        trees.append(tree)
+    return trees, [tree.apply(features) for tree in trees]

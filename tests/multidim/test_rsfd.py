@@ -34,6 +34,11 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError):
             RSFD(Domain.from_sizes([3, 3]), 1.0, variant="bogus")
 
+    @pytest.mark.parametrize("variant", ["ue-z", "ue-r"])
+    def test_unknown_ue_kind_rejected_at_construction(self, variant):
+        with pytest.raises(InvalidParameterError):
+            RSFD(Domain.from_sizes([3, 3]), 1.0, variant=variant, ue_kind="XUE")
+
     def test_amplified_epsilon(self):
         domain = Domain.from_sizes([3, 3, 3])
         solution = RSFD(domain, 1.0, variant="grr")

@@ -35,6 +35,18 @@ class TestConfiguration:
         assert RSRFD(domain, 1.0, priors, variant="grr").label == "RS+RFD[GRR]"
         assert RSRFD(domain, 1.0, priors, variant="ue-r", ue_kind="SUE").label == "RS+RFD[SUE-r]"
 
+    def test_unknown_ue_kind_rejected_at_construction(self):
+        # an unknown kind once built OUE randomizers under an "XUE" label
+        domain = Domain.from_sizes([3, 4])
+        with pytest.raises(InvalidParameterError):
+            RSRFD(domain, 1.0, uniform_priors(domain), variant="ue-r", ue_kind="XUE")
+
+    @pytest.mark.parametrize("kind", ["SUE", "OUE"])
+    def test_randomizer_matches_ue_kind(self, kind):
+        domain = Domain.from_sizes([3, 4])
+        solution = RSRFD(domain, 1.0, uniform_priors(domain), variant="ue-r", ue_kind=kind)
+        assert solution._randomizer(0).name == kind
+
     def test_priors_are_normalized(self):
         domain = Domain.from_sizes([3, 4])
         priors = [np.array([2.0, 1.0, 1.0]), np.ones(4)]

@@ -1,6 +1,7 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,24 @@ class TestSubpackageExports:
         assert hasattr(imported, "__all__")
         for name in imported.__all__:
             assert hasattr(imported, name), f"{module}.{name}"
+
+
+class TestNoOraclesInThePackage:
+    def test_no_reference_modules(self):
+        # test oracles live under tests/, never inside the installed package
+        names = [
+            module.name
+            for module in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        ]
+        assert "repro.ml.tree" in names
+        assert [name for name in names if name.endswith("_reference")] == []
+
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.ml", "RecursiveBinaryFeatureRegressionTree"),
+            ("repro.attacks", "ReferenceReidentificationAttack"),
+        ],
+    )
+    def test_oracle_classes_not_exported(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
